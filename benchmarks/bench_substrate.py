@@ -79,9 +79,21 @@ def test_skeleton_throughput(benchmark):
 
 
 def test_skeleton_similarity_cached(benchmark):
-    # Post-warmup this is the memoised path the selection strategies hit.
+    # Post-warmup this is the memoised path the simulated LLM and the
+    # preliminary SQL hit per example; the selection index reads each
+    # candidate through the same memo once, when it is built.
     skeleton_similarity(QUERIES[0], QUERIES[1])
     benchmark(lambda: skeleton_similarity(QUERIES[0], QUERIES[1]))
+
+
+def test_dail_rank_throughput(benchmark, small_corpus):
+    # One DAIL_S ranking per dev question against the indexed train pool.
+    from repro.selection.strategies import DailSelection
+
+    strategy = DailSelection(small_corpus.train)
+    strategy.set_target_dataset(small_corpus.dev)
+    targets = [(e.question, e.db_id, e.query) for e in small_corpus.dev]
+    benchmark(lambda: [strategy.rank(*target) for target in targets])
 
 
 def test_exact_match_throughput(benchmark):

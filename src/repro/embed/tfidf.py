@@ -94,10 +94,115 @@ def hash_feature(feature: str) -> int:
 
 
 def cosine(a: Vector, b: Vector) -> float:
-    """Cosine similarity of two sparse vectors (already normalised → dot)."""
+    """Cosine similarity of two sparse vectors (already normalised → dot).
+
+    The products are summed left to right over the shorter vector in its
+    insertion order; :class:`TfidfIndex` reproduces exactly this order.
+    The loop is explicit because ``sum`` of floats is compensated from
+    Python 3.12 on.
+    """
     if len(a) > len(b):
         a, b = b, a
-    return sum(w * b.get(i, 0.0) for i, w in a.items())
+    total = 0.0
+    for i, w in a.items():
+        total += w * b.get(i, 0.0)
+    return total
+
+
+class TfidfIndex:
+    """An embedder fitted on a candidate pool, plus every candidate's vector
+    as read-only numpy arrays, so one target is scored against the whole
+    pool in a few array operations.
+
+    Each nonzero of the pool is stored twice.  Row-major (CSR-style),
+    ``features``/``weights``/``rows`` hold every candidate's nonzeros in
+    that vector's own feature order, shortest candidates first, so the
+    candidates shorter than any given length are a prefix.  Feature-major
+    (an inverted index), ``posting_rows``/``posting_weights`` hold them
+    feature by feature, the entries of vocabulary feature ``f`` at
+    ``ptr[f]:ptr[f + 1]``.  ``rows`` and ``posting_rows`` name candidates
+    by pool index.  No per-candidate dicts are kept.
+
+    :meth:`scores` equals :func:`cosine` bit for bit.  Every weight is
+    positive, so only shared features change a sum, and ``np.bincount``
+    adds its weights in array order.  :func:`cosine` sums over the shorter
+    of its two vectors in that vector's order, so :meth:`scores` sums the
+    candidates shorter than the target row by row, and the others over the
+    target's postings in the target's feature order.  Products are
+    ``candidate weight * target weight`` either way, which is exact to
+    swap.
+    """
+
+    def __init__(self, texts: Sequence[str]):
+        self._embedder = TfidfEmbedder().fit(texts)
+        self._vocab = len(self._embedder._index)
+        self._lengths = np.zeros(len(texts), dtype=np.intp)
+        features, weights = [], []
+        for row, text in enumerate(texts):
+            vector = self._embedder.transform(text)
+            self._lengths[row] = len(vector)
+            features.append(np.fromiter(vector, np.intp, len(vector)))
+            weights.append(np.fromiter(vector.values(), np.float64, len(vector)))
+        by_length = np.argsort(self._lengths, kind="stable")
+        self._sorted_lengths = self._lengths[by_length]
+        self._row_ends = np.concatenate([[0], np.cumsum(self._sorted_lengths)])
+        self._features = np.concatenate(
+            [np.empty(0, np.intp), *(features[row] for row in by_length)]
+        )
+        self._weights = np.concatenate(
+            [np.empty(0, np.float64), *(weights[row] for row in by_length)]
+        )
+        self._rows = np.repeat(by_length, self._sorted_lengths)
+        postings = np.argsort(self._features, kind="stable")
+        self._posting_rows = self._rows[postings]
+        self._posting_weights = self._weights[postings]
+        self._ptr = np.zeros(self._vocab + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(self._features, minlength=self._vocab), out=self._ptr[1:]
+        )
+
+    def __len__(self) -> int:
+        return len(self._lengths)
+
+    def scores(self, text: str) -> np.ndarray:
+        """Cosine of ``text`` against every candidate, in pool order."""
+        target = self._embedder.transform(text)
+        features = np.fromiter(target, np.intp, len(target))
+        weights = np.fromiter(target.values(), np.float64, len(target))
+        # Out-of-vocabulary features hash past the vocabulary and match no
+        # candidate; they count only towards the target's norm and length.
+        known = features < self._vocab
+        features, weights = features[known], weights[known]
+        return np.where(
+            self._lengths < len(target),
+            self._row_major_sums(features, weights, len(target)),
+            self._posting_sums(features, weights),
+        )
+
+    def _row_major_sums(
+        self, features: np.ndarray, weights: np.ndarray, shorter_than: int
+    ) -> np.ndarray:
+        """Dot products of the candidates shorter than ``shorter_than``
+        features, each summed in the candidate's own feature order."""
+        dense = np.zeros(self._vocab)
+        dense[features] = weights
+        end = self._row_ends[np.searchsorted(self._sorted_lengths, shorter_than)]
+        products = dense[self._features[:end]]
+        products *= self._weights[:end]
+        return np.bincount(self._rows[:end], products, minlength=len(self))
+
+    def _posting_sums(self, features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Dot products of every candidate, summed in the order of
+        ``features``: their postings, one feature after another."""
+        starts = self._ptr[features]
+        counts = self._ptr[features + 1] - starts
+        postings = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        postings += np.arange(len(postings))
+        products = np.repeat(weights, counts)
+        products *= self._posting_weights[postings]
+        return np.bincount(
+            self._posting_rows[postings], products, minlength=len(self)
+        )
 
 
 def top_k(query: Vector, candidates: Sequence[Vector], k: int) -> List[int]:

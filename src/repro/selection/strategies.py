@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..dataset.spider import Example, SpiderDataset
-from ..embed.tfidf import TfidfEmbedder, cosine
+from ..embed.tfidf import TfidfIndex
 from ..errors import PromptError
 from ..prompt.organization import ExampleBlock
-from ..sql.skeleton import skeleton_similarity
+from ..sql.skeleton import SkeletonIndex
 from ..utils.rng import rng_from
 
 #: Canonical selection ids in paper order.
@@ -113,16 +115,26 @@ class RandomSelection(SelectionStrategy):
         return order
 
 
+def _rank(scores: np.ndarray, gate: Optional[np.ndarray] = None) -> List[int]:
+    """Indices sorted by (gate failed, -score, index), best first."""
+    keys = (np.arange(len(scores)), -scores)
+    if gate is not None:
+        keys += (~gate,)
+    return np.lexsort(keys).tolist()
+
+
 class _EmbeddingSelection(SelectionStrategy):
-    """Shared machinery: embed candidates once, rank targets by cosine."""
+    """Shared machinery: index the candidates once, rank targets by cosine.
+
+    The index is built eagerly and only read afterwards, so one strategy
+    can serve many threads.
+    """
 
     masked: bool = False
 
     def __init__(self, candidates: SpiderDataset, seed: int = 0):
         super().__init__(candidates, seed)
-        self._embedder = TfidfEmbedder()
-        texts = [self._candidate_text(e) for e in candidates]
-        self._vectors = self._embedder.fit_transform(texts)
+        self._index = TfidfIndex([self._candidate_text(e) for e in candidates])
 
     def _candidate_text(self, example: Example) -> str:
         if self.masked:
@@ -132,13 +144,11 @@ class _EmbeddingSelection(SelectionStrategy):
     def _target_text(self, question: str, db_id: str) -> str:
         return question
 
-    def _similarities(self, question: str, db_id: str) -> List[float]:
-        target = self._embedder.transform(self._target_text(question, db_id))
-        return [cosine(target, vector) for vector in self._vectors]
+    def _similarities(self, question: str, db_id: str) -> np.ndarray:
+        return self._index.scores(self._target_text(question, db_id))
 
     def rank(self, question, db_id, predicted_sql=None) -> List[int]:
-        scores = self._similarities(question, db_id)
-        return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        return _rank(self._similarities(question, db_id))
 
 
 class QuestionSimilaritySelection(_EmbeddingSelection):
@@ -213,6 +223,7 @@ class DailSelection(MaskedQuestionSimilaritySelection):
     ):
         super().__init__(candidates, seed)
         self.skeleton_threshold = skeleton_threshold
+        self._skeletons = SkeletonIndex([e.query for e in candidates])
 
     def _fingerprint_extra(self) -> Sequence[object]:
         return (self._target_fingerprint, repr(self.skeleton_threshold))
@@ -220,22 +231,11 @@ class DailSelection(MaskedQuestionSimilaritySelection):
     def rank(self, question, db_id, predicted_sql=None) -> List[int]:
         question_scores = self._similarities(question, db_id)
         if predicted_sql is None:
-            return sorted(
-                range(len(question_scores)),
-                key=lambda i: (-question_scores[i], i),
-            )
-        skeleton_scores = [
-            skeleton_similarity(predicted_sql, self.candidates[i].query)
-            for i in range(len(self.candidates))
-        ]
-        passes = [s >= self.skeleton_threshold for s in skeleton_scores]
-        return sorted(
-            range(len(question_scores)),
-            key=lambda i: (
-                not passes[i],                                   # gate first
-                -(0.5 * question_scores[i] + 0.5 * skeleton_scores[i]),
-                i,
-            ),
+            return _rank(question_scores)
+        skeleton_scores = self._skeletons.similarities(predicted_sql)
+        return _rank(
+            0.5 * question_scores + 0.5 * skeleton_scores,
+            gate=skeleton_scores >= self.skeleton_threshold,
         )
 
 

@@ -16,7 +16,9 @@ Two skeletons are produced:
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from ..cache.lru import memoize
 
@@ -172,11 +174,13 @@ def _leaf_op(leaf: Condition) -> str:
 def _features_cached(sql: str) -> Tuple[FrozenSet[str], FrozenSet[str]]:
     """(signature, skeleton bigrams) of a SQL string, memoised.
 
-    Selection strategies compare every target against every candidate;
-    candidates repeat across targets, so caching turns the quadratic
-    parse cost into a linear one.  The memo is a bounded, thread-safe
-    LRU (:mod:`repro.cache.lru`) so arbitrarily long sweeps over
-    arbitrarily many corpora cannot grow memory without limit.
+    A :class:`SkeletonIndex` reads each candidate through it once, when
+    the index is built.  Per example, the simulated LLM (scoring its
+    demonstrations against gold) and the DAIL_S preliminary SQL come back
+    to the same strings, so each distinct SQL is parsed once.  The memo is
+    a bounded, thread-safe LRU (:mod:`repro.cache.lru`) so arbitrarily
+    long sweeps over arbitrarily many corpora cannot grow memory without
+    limit.
     """
     return frozenset(query_signature(sql)), frozenset(_bigrams(skeleton_tokens(sql)))
 
@@ -202,6 +206,50 @@ def skeleton_similarity(a: Union[str, Query], b: Union[str, Query]) -> float:
     sig_score = _jaccard(sig_a, sig_b)
     bigram_score = _jaccard(bi_a, bi_b)
     return 0.6 * sig_score + 0.4 * bigram_score
+
+
+class SkeletonIndex:
+    """:func:`skeleton_similarity` of one query against a fixed candidate
+    pool, in a few array operations.
+
+    Each of the two feature kinds (signature, skeleton bigrams) is a 0/1
+    incidence matrix, feature × candidate, over the features the pool
+    contains.  A target's Jaccard against every candidate comes from exact
+    integer intersection and union counts, so :meth:`similarities` equals
+    the scalar definition bit for bit.  Read-only once built.
+    """
+
+    def __init__(self, candidates: Sequence[Union[str, Query]]):
+        features = [_features(sql) for sql in candidates]
+        self._signatures = _Incidence([sig for sig, _ in features])
+        self._bigrams = _Incidence([bigrams for _, bigrams in features])
+
+    def similarities(self, query: Union[str, Query]) -> np.ndarray:
+        """``skeleton_similarity(query, c)`` for every candidate ``c``."""
+        sig, bigrams = _features(query)
+        return (0.6 * self._signatures.jaccard(sig)
+                + 0.4 * self._bigrams.jaccard(bigrams))
+
+
+class _Incidence:
+    """Feature sets of a pool as a dense 0/1 matrix, one row per feature."""
+
+    def __init__(self, sets: Sequence[FrozenSet[str]]):
+        self._ids: Dict[str, int] = {
+            feature: i for i, feature in enumerate(sorted(set().union(*sets)))
+        }
+        self._matrix = np.zeros((len(self._ids), len(sets)), dtype=bool)
+        for column, features in enumerate(sets):
+            self._matrix[[self._ids[f] for f in features], column] = True
+        self._sizes = self._matrix.sum(axis=0)
+
+    def jaccard(self, target: FrozenSet[str]) -> np.ndarray:
+        """:func:`_jaccard` of ``target`` against every set, in pool order."""
+        rows = [self._ids[f] for f in target if f in self._ids]
+        inter = self._matrix[rows].sum(axis=0)
+        union = self._sizes + len(target) - inter
+        # Both sets empty is the only zero union; _jaccard scores it 1.0.
+        return np.where(union == 0, 1.0, inter / np.maximum(union, 1))
 
 
 def _bigrams(tokens: List[str]) -> Set[str]:
