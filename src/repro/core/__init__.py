@@ -1,11 +1,10 @@
-"""The DAIL-SQL pipeline, baselines, rule-based parser, self-correction."""
+"""The DAIL-SQL pipeline, baselines and rule-based parser."""
 
 from .baselines import LeaderboardEntry, leaderboard_entries
 from .dail_sql import DailSQL, DailSQLResult
 from .rule_parser import ParseResult, RuleBasedParser
-from .self_correction import CorrectionTrace, SelfCorrector
 
 __all__ = [
     "LeaderboardEntry", "leaderboard_entries", "DailSQL", "DailSQLResult",
-    "ParseResult", "RuleBasedParser", "CorrectionTrace", "SelfCorrector",
+    "ParseResult", "RuleBasedParser",
 ]

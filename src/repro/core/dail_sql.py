@@ -20,10 +20,11 @@ benchmark ships and any real API client a downstream user plugs in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..dataset.spider import SpiderDataset
 from ..db.sqlite_backend import Database
+from ..eval.candidates import majority_vote, sample_tag
 from ..llm.extract import extract_sql
 from ..llm.interface import LLMClient
 from ..prompt.builder import Prompt, PromptBuilder
@@ -144,22 +145,10 @@ class DailSQL:
         )
 
     def _self_consistency(self, prompt: Prompt, database: Database):
-        votes: Dict[str, List[str]] = {}
-        samples: List[str] = []
-        first_raw = ""
-        for index in range(self.n_samples):
-            result = self.llm.generate(prompt, sample_tag=f"sc-{index}")
-            if index == 0:
-                first_raw = result.text
-            sql = extract_sql(result.text, prompt.response_prefix)
-            samples.append(sql)
-            rows = database.try_execute(sql)
-            key = "<error>" if rows is None else repr(sorted(map(repr, rows)))
-            votes.setdefault(key, []).append(sql)
-
-        def vote_rank(item):
-            key, sqls = item
-            return (key != "<error>", len(sqls))
-
-        _, best = max(votes.items(), key=vote_rank)
-        return first_raw, best[0], samples
+        raws = [
+            self.llm.generate(prompt, sample_tag=sample_tag(index)).text
+            for index in range(self.n_samples)
+        ]
+        samples = [extract_sql(raw, prompt.response_prefix) for raw in raws]
+        winner = majority_vote([database.try_execute(sql) for sql in samples])
+        return raws[0], samples[winner], samples

@@ -3,13 +3,7 @@ significance testing, cost accounting, test-suite accuracy, error
 analysis, reporting and ASCII figures."""
 
 from .calibration import CalibrationReport, calibration_report, model_calibration
-from .cost import (
-    PRICES,
-    accuracy_per_dollar,
-    cost_per_question_usd,
-    price_sheet,
-    report_cost_usd,
-)
+from .cost import accuracy_per_dollar, cost_per_question_usd, report_cost_usd
 from .error_analysis import (
     ERROR_CATEGORIES,
     ErrorDiagnosis,
@@ -29,33 +23,14 @@ from .significance import Comparison, compare_reports, mcnemar_exact
 from .test_suite import TestSuite, test_suite_accuracy
 
 
-def __getattr__(name: str):
-    # ``run_grid`` is deprecated (use GridRunner.sweep); resolving it
-    # lazily means even `from repro.eval import run_grid` warns, without
-    # the package import itself paying or suppressing the warning.
-    if name == "run_grid":
-        import warnings
-
-        warnings.warn(
-            "importing run_grid from repro.eval is deprecated; "
-            "use GridRunner(runner).sweep(configs)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .harness import run_grid
-
-        return run_grid
-    raise AttributeError(f"module 'repro.eval' has no attribute {name!r}")
-
-
 __all__ = [
     "CalibrationReport", "calibration_report", "model_calibration",
     "load_report", "load_reports", "save_report", "save_reports",
-    "PRICES", "accuracy_per_dollar", "cost_per_question_usd", "price_sheet",
-    "report_cost_usd", "ERROR_CATEGORIES", "ErrorDiagnosis", "breakdown_rows",
+    "accuracy_per_dollar", "cost_per_question_usd", "report_cost_usd",
+    "ERROR_CATEGORIES", "ErrorDiagnosis", "breakdown_rows",
     "diagnose", "error_breakdown", "COMPONENTS", "component_match",
     "exact_match", "ascii_lines", "ascii_scatter", "BenchmarkRunner",
-    "RunConfig", "RunPlan", "run_grid", "EvalEngine", "GridRunner",
+    "RunConfig", "RunPlan", "EvalEngine", "GridRunner",
     "GridResult", "RunTelemetry", "ProgressEvent", "EvalReport",
     "PredictionRecord",
     "format_matrix", "format_series", "format_table", "percent",

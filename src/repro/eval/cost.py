@@ -7,21 +7,18 @@ prices an :class:`~repro.eval.metrics.EvalReport` with the public
 mid-2023 price sheet the paper's experiments paid (open-source models cost
 only amortised compute, approximated per 1k tokens).
 
-The price table itself lives in :mod:`repro.obs.cost` — the serving
+The price table itself lives in :mod:`repro.obs.cost`, so the serving
 layer's :class:`~repro.obs.cost.CostMeter` prices live calls without
-importing the evaluation stack — and is re-exported here unchanged.
+importing the evaluation stack.
 """
 
 from __future__ import annotations
 
 from ..errors import EvaluationError
-from ..obs.cost import PRICES, PriceSheet, price_sheet
+from ..obs.cost import price_sheet
 from .metrics import EvalReport
 
-__all__ = [
-    "PRICES", "PriceSheet", "price_sheet", "report_cost_usd",
-    "cost_per_question_usd", "accuracy_per_dollar",
-]
+__all__ = ["report_cost_usd", "cost_per_question_usd", "accuracy_per_dollar"]
 
 
 def report_cost_usd(report: EvalReport, model_id: str, n_samples: int = 1) -> float:

@@ -20,7 +20,7 @@ gave for free:
   :class:`~repro.obs.metrics.MetricsRegistry`.
 
 :class:`GridRunner` is the sweep-level API (the redesign of the old
-``run_grid`` function): ``sweep(configs)`` schedules *every* example of
+``run_grid`` function, since removed): ``sweep(configs)`` schedules *every* example of
 *every* config onto one worker pool — short configs never leave workers
 idle while a long config finishes — and returns a :class:`GridResult`
 with named per-config access and tabulation helpers.
@@ -484,7 +484,7 @@ class GridResult:
 
 
 class GridRunner:
-    """Sweep-level evaluation API (successor of ``run_grid``).
+    """Sweep-level evaluation API.
 
     One ``GridRunner`` wraps a shared :class:`BenchmarkRunner` and a
     worker count; :meth:`sweep` evaluates a whole grid on one pool::

@@ -23,8 +23,7 @@ engine).
 from __future__ import annotations
 
 import threading
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cache.store import ArtifactCache, build_cache
@@ -339,25 +338,3 @@ class BenchmarkRunner:
                 it into an errored record.
         """
         return self.pipeline.run(example, plan, collector)
-
-
-def run_grid(
-    runner: BenchmarkRunner,
-    configs: List[RunConfig],
-    limit: Optional[int] = None,
-) -> List[EvalReport]:
-    """Evaluate a list of configurations in order.
-
-    .. deprecated::
-        Use :meth:`repro.eval.engine.GridRunner.sweep`, which runs the
-        grid through the parallel engine and returns a
-        :class:`~repro.eval.engine.GridResult` with named access.
-    """
-    warnings.warn(
-        "run_grid() is deprecated; use GridRunner(runner).sweep(configs)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .engine import GridRunner
-
-    return list(GridRunner(runner).sweep(configs, limit=limit))

@@ -1,8 +1,8 @@
 """The staged evaluation pipeline.
 
-One example evaluation is an explicit chain of seven small stages::
+One example evaluation is an explicit chain of six small stages::
 
-    select → build → generate → extract → analyze → execute → score
+    select → build → generate → analyze → execute → score
 
 Each stage is an independently testable unit with declared inputs and
 outputs (read from / written to a shared state dict), and every
@@ -26,26 +26,26 @@ execute    ``execute``                  database fingerprint,
                                         predicted SQL
 ========== ============================ ==============================
 
-The analyze stage is the execution safety gate: fatal diagnostics
-(statement would not run, or is not a read-only SELECT) short-circuit
-the execute stage — ``exec_match`` is ``False``, no DB round-trip
-happens, and the record carries a structured ``lint:<rule>``
-``error_class`` plus the full diagnostic list.  With repair enabled the
-stage also runs the deterministic repair pass and re-analyzes, so the
-record shows the original and the repaired SQL side by side.
+The generate stage is the candidate search
+(:mod:`repro.eval.candidates`) the serving layer runs too: it samples,
+extracts, analyzes, executes behind the safety gate, votes over
+``n_samples`` and — with ``feedback_rounds > 0`` — regenerates a *dead*
+winner (fatal lint diagnostic or execution failure) from its rendered
+diagnostics.  It times its steps under the ``generate``, ``extract``,
+``analyze``, ``execute`` and ``repair`` stage names.  The analyze,
+execute and score stages then describe and score the winner; only the
+execute stage reads gold.
 
-With ``feedback_rounds > 0`` a candidate that *dies* — fatal lint
-diagnostic or execution failure — enters the bounded
-execution-feedback repair loop (:mod:`repro.repair`) between the
-execute and score stages: the structured diagnostics are rendered into
-a feedback turn, the model regenerates under sample tag ``fb-<round>``,
-and the best candidate on the degradation ladder wins.  Feedback
-generations are ordinary ``generate`` artifacts keyed on the feedback
-prompt's content, so repair cycles replay byte-identically from cache
-and journal.
+The safety gate: a fatally-diagnosed candidate (statement would not
+run, or is not a read-only SELECT) never touches the database — a
+winning one scores ``exec_match=False`` and the record carries a
+structured ``lint:<rule>`` ``error_class`` plus the full diagnostic
+list.  With repair enabled, analysis also runs the deterministic repair
+pass and re-analyzes, so the record shows the original and the repaired
+SQL side by side.
 
-``build``, ``extract`` and ``score`` are cheap pure functions and are
-always recomputed.  Because keys are pure content hashes, artifacts are
+``build`` and ``score`` are cheap pure functions and are always
+recomputed.  Because keys are pure content hashes, artifacts are
 shared across grid configs within a sweep (the DAIL preliminary pass
 and selection rankings are computed once, not once per config) and —
 when a disk tier is attached — across processes: a warm re-run skips
@@ -60,13 +60,13 @@ cover every stage uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.analyzer import ANALYZER_VERSION, analyze
 from ..analysis.repair import repair as repair_sql
 from ..analysis.semantics import EQUAL, equivalent
-from ..errors import ExecutionError, ModelError, SQLSyntaxError
+from ..errors import ExecutionError, SQLSyntaxError
 from ..cache.store import ArtifactCache
 from ..dataset.spider import Example, SpiderDataset
 from ..db.execution import results_match
@@ -76,20 +76,13 @@ from ..llm.interface import client_fingerprint
 from ..prompt.builder import PromptBuilder
 from ..prompt.organization import ExampleBlock, get_organization
 from ..prompt.representation import RepresentationOptions, get_representation
-from ..repair.feedback import (
-    FEEDBACK_EXAMPLE_TOKEN_BUDGET,
-    MAX_FEEDBACK_ROUNDS,
-    feedback_prompt,
-)
-from ..repair.taxonomy import (
-    REPAIR_EXHAUSTED,
-    classify_execution_error,
-    is_transient_class,
-)
+from ..repair.feedback import MAX_FEEDBACK_ROUNDS
+from ..repair.taxonomy import classify_execution_error
 from ..selection.strategies import DailSelection
 from ..sql.canonical import canonical_fingerprint
 from ..sql.dialect import REFERENCE_DIALECT
 from ..sql.transpile import transpile
+from .candidates import search
 from .exact_match import exact_match
 from .metrics import PredictionRecord
 from .telemetry import NULL_COLLECTOR
@@ -111,6 +104,9 @@ class PipelineStage:
     name: str = ""
     inputs: Tuple[str, ...] = ()
     outputs: Tuple[str, ...] = ()
+    #: Whether the chain wraps :meth:`run` in the ``name`` stage timer
+    #: (a stage that times its own steps opts out).
+    timed: bool = True
 
     def __init__(self, pipeline: "EvalPipeline"):
         self.pipeline = pipeline
@@ -154,31 +150,28 @@ class BuildPromptStage(PipelineStage):
 
 
 class GenerateStage(PipelineStage):
-    """Call the LLM (or the generation artifact standing in for it)."""
+    """Run the candidate search (:func:`repro.eval.candidates.search`).
+
+    Samples, votes over ``n_samples`` and repairs a dead winner for up
+    to the pipeline's ``feedback_rounds``, timing its own steps.
+    """
 
     name = "generate"
-    inputs = ("plan", "prompt")
-    outputs = ("raw_output", "completion_tokens")
+    inputs = ("example", "plan", "prompt")
+    outputs = ("search", "predicted_sql", "outcome")
+    timed = False
 
     def run(self, state: State, collector) -> None:
-        plan, prompt = state["plan"], state["prompt"]
-        generation = self.pipeline.generation(plan.llm, prompt, "", collector)
-        state["raw_output"] = generation["text"]
-        state["completion_tokens"] = generation["completion_tokens"]
-
-
-class ExtractStage(PipelineStage):
-    """Pull the SQL out of the raw model response (pure)."""
-
-    name = "extract"
-    inputs = ("raw_output", "prompt")
-    outputs = ("predicted_sql",)
-
-    def run(self, state: State, collector) -> None:
-        prompt = state["prompt"]
-        state["predicted_sql"] = extract_sql(
-            state["raw_output"], prompt.response_prefix
+        example, plan = state["example"], state["plan"]
+        result = search(
+            self.pipeline, plan.llm, state["prompt"], example.db_id,
+            n_samples=plan.n_samples,
+            feedback_rounds=self.pipeline.feedback_rounds,
+            collector=collector,
         )
+        state["search"] = result
+        state["predicted_sql"] = result.winner.predicted_sql
+        state["outcome"] = result.winner.outcome
 
 
 class AnalyzeStage(PipelineStage):
@@ -203,35 +196,24 @@ class AnalyzeStage(PipelineStage):
 
 
 class ExecuteStage(PipelineStage):
-    """Execute gold and predicted SQL and compare result sets.
+    """Execute the gold query and compare it with the winner's rows.
 
-    Fatal analyzer diagnostics short-circuit the predicted-side
-    execution: the statement would fail (or must not run), so the stage
-    scores it as a non-match without a DB round-trip.
+    The search already executed the winner behind the analyzer's safety
+    gate; a fatally-diagnosed winner never ran, so it scores as a
+    non-match without a gold round-trip.
     """
 
     name = "execute"
-    inputs = ("example", "predicted_sql", "analysis", "final_sql")
+    inputs = ("example", "analysis", "outcome")
     outputs = ("exec_match",)
 
     def run(self, state: State, collector) -> None:
         example = state["example"]
-        analysis = state.get("analysis") or {}
-        if analysis.get("fatal"):
-            collector.record_short_circuit()
+        if (state.get("analysis") or {}).get("fatal"):
             state["exec_match"] = False
-            state["exec_ok"] = False
-            state["exec_error_class"] = ""
             return
-        final_sql = str(state.get("final_sql") or state["predicted_sql"])
+        outcome = state["outcome"]
         gold_rows = self.pipeline.gold_rows(example, collector)
-        outcome = self.pipeline.execution_outcome(
-            example.db_id, final_sql, collector
-        )
-        state["exec_ok"] = bool(outcome["ok"])
-        state["exec_error_class"] = (
-            "" if outcome["ok"] else str(outcome["error_class"])
-        )
         state["exec_match"] = bool(outcome["ok"]) and results_match(
             gold_rows, outcome["rows"], example.query
         )
@@ -242,13 +224,14 @@ class ScoreStage(PipelineStage):
 
     name = "score"
     inputs = (
-        "example", "prompt", "raw_output", "predicted_sql",
-        "analysis", "final_sql", "exec_match", "completion_tokens",
+        "example", "prompt", "search", "predicted_sql",
+        "analysis", "final_sql", "exec_match",
     )
     outputs = ("exact_match", "semantic_match", "record")
 
     def run(self, state: State, collector) -> None:
         example, prompt = state["example"], state["prompt"]
+        result = state["search"]
         predicted_sql = state["predicted_sql"]
         analysis = state.get("analysis") or {}
         final_sql = str(state.get("final_sql") or predicted_sql)
@@ -263,59 +246,32 @@ class ScoreStage(PipelineStage):
         # resolves the final class itself (``repair:exhausted``, the
         # preserved transient class, or "" on recovery).
         error_class = (
-            str(analysis.get("error_class", ""))
-            or str(state.get("exec_error_class", ""))
+            result.winner.error_class
+            if result.repair_error_class is None
+            else result.repair_error_class
         )
-        override = state.get("repair_error_class")
-        if override is not None:
-            error_class = str(override)
         state["record"] = PredictionRecord(
             example_id=example.example_id,
             db_id=example.db_id,
             question=example.question,
             gold_sql=example.query,
-            raw_output=state["raw_output"],
+            raw_output=result.winner.raw_output,
             predicted_sql=predicted_sql,
             exec_match=state["exec_match"],
             exact_match=em_ok,
             semantic_match=sem_ok,
             hardness=example.hardness,
             prompt_tokens=prompt.token_count,
-            completion_tokens=state["completion_tokens"],
+            completion_tokens=result.completion_tokens,
             n_examples=prompt.n_examples,
             error_class=error_class,
             statement_kind=str(analysis.get("statement_kind", "")),
             repaired_sql=str(analysis.get("repaired_sql", "")),
             diagnostics=list(analysis.get("diagnostics", [])),
-            repair_rounds=int(state.get("repair_rounds", 0)),
-            repair_won_round=int(state.get("repair_won_round", 0)),
-            repair_round_classes=list(state.get("repair_round_classes", [])),
+            repair_rounds=result.repair_rounds,
+            repair_won_round=result.repair_won_round,
+            repair_round_classes=list(result.repair_round_classes),
         )
-
-
-@dataclass
-class _Candidate:
-    """One complete candidate (round 0 or a feedback regeneration)."""
-
-    raw_output: str
-    predicted_sql: str
-    analysis: Dict
-    final_sql: str
-    exec_ok: bool
-    exec_match: bool
-    error_class: str
-
-
-def _candidate_rank(candidate: _Candidate) -> int:
-    """The degradation ladder: executing-and-matching beats executing,
-    which beats lint-clean-but-failing, which beats fatally-diagnosed."""
-    if candidate.exec_match:
-        return 3
-    if candidate.exec_ok:
-        return 2
-    if not candidate.analysis.get("fatal"):
-        return 1
-    return 0
 
 
 #: Stage classes in pipeline order.
@@ -323,7 +279,6 @@ STAGE_CLASSES = (
     SelectStage,
     BuildPromptStage,
     GenerateStage,
-    ExtractStage,
     AnalyzeStage,
     ExecuteStage,
     ScoreStage,
@@ -353,8 +308,8 @@ class EvalPipeline:
             fingerprints exactly as before the loop existed.
         semantic_dedup: group candidate statements into semantic
             equivalence classes (canonical fingerprints) before the
-            database round-trip in self-consistency voting and the
-            feedback loop — one representative per class executes, the
+            database round-trip in the candidate search's voting and
+            feedback rounds — one representative per class executes, the
             rest reuse its outcome.  Sound because two statements with
             the same canonical form return the same rows on every
             database instance; reports are byte-identical with the
@@ -444,25 +399,14 @@ class EvalPipeline:
     def run(self, example: Example, plan, collector=NULL_COLLECTOR) -> PredictionRecord:
         """Evaluate one example under one plan (thread-safe).
 
-        ``n_samples > 1`` swaps the generate → extract stretch for the
-        execution-majority self-consistency loop, which times its inner
-        generations and executions under the same stage names.
-
         Raises:
             Exception: whatever a stage raises; the engine isolates it
                 into an errored record.
         """
         state: State = {"example": example, "plan": plan}
-        voting = plan.n_samples > 1
         for stage in self.stages:
-            if voting and stage.name == "generate":
-                self._self_consistency(state, collector)
-                continue
-            if voting and stage.name == "extract":
-                continue  # the voting loop already extracted per sample
-            if stage.name == "score" and self.feedback_rounds > 0:
-                self._feedback_loop(state, collector)
-            with collector.stage(stage.name):
+            timer = collector.stage(stage.name) if stage.timed else nullcontext()
+            with timer:
                 stage.run(state, collector)
         return state["record"]
 
@@ -737,290 +681,3 @@ class EvalPipeline:
             encode=encode,
             decode=decode,
         )
-
-    def predicted_rows(self, db_id: str, sql: str, collector):
-        """Predicted-query rows (``None`` on execution failure).
-
-        Thin view over :meth:`execution_outcome` kept for callers that
-        only care *whether* execution produced rows (self-consistency
-        voting, tests)."""
-        outcome = self.execution_outcome(db_id, sql, collector)
-        return outcome["rows"] if outcome["ok"] else None
-
-    # -- self-consistency ------------------------------------------------------
-
-    def _self_consistency(self, state: State, collector) -> None:
-        """Execution-majority voting over several samples (DAIL-SQL+SC).
-
-        Sets ``raw_output`` (first sample), ``predicted_sql`` (majority
-        winner) and ``completion_tokens`` (sum over samples); the
-        execute stage then scores the winner — whose execution is
-        already a cache hit from the voting pass.
-
-        With :attr:`dedup_active`, samples are grouped into semantic
-        equivalence classes before the database round-trip: the first
-        member of each class executes, later members reuse its rows (a
-        vote for the same result set — exactly what executing them
-        would have produced, since equal canonical forms return equal
-        rows on every instance).  Vote keys are result sets either way,
-        so the winning SQL and the report are byte-identical with
-        dedup off; only executed-statement counts change.
-        """
-        example, plan, prompt = state["example"], state["plan"], state["prompt"]
-        votes: Dict[str, List[str]] = {}
-        first_raw = ""
-        total_completion = 0
-        dedup = self.dedup_active
-        class_rows: Dict[str, object] = {}
-        for index in range(plan.n_samples):
-            with collector.stage("generate"):
-                generation = self.generation(
-                    plan.llm, prompt, f"sc-{index}", collector
-                )
-            total_completion += generation["completion_tokens"]
-            if index == 0:
-                first_raw = generation["text"]
-            sql = extract_sql(generation["text"], prompt.response_prefix)
-            with collector.stage("analyze"):
-                payload = self.analysis(example.db_id, sql, collector)
-            final_sql = payload.get("final_sql") or sql
-            if payload.get("fatal"):
-                # The safety gate: a fatally-diagnosed sample never
-                # touches the database — it votes as an error.  Lint
-                # counters are recorded once for the winner by the
-                # analyze stage, not per sample.
-                collector.record_short_circuit()
-                rows = None
-            else:
-                fingerprint = (
-                    self.semantic_fingerprint(example.db_id, str(final_sql))
-                    if dedup else ""
-                )
-                if dedup and fingerprint in class_rows:
-                    rows = class_rows[fingerprint]
-                    collector.record_semantic_dedup("voting")
-                else:
-                    with collector.stage("execute"):
-                        rows = self.predicted_rows(
-                            example.db_id, final_sql, collector
-                        )
-                    if dedup:
-                        class_rows[fingerprint] = rows
-            key = "<error>" if rows is None else repr(sorted(map(repr, rows)))
-            votes.setdefault(key, []).append(sql)
-
-        # Majority result set wins; errors never win unless unanimous.
-        def vote_rank(item):
-            key, sqls = item
-            return (key != "<error>", len(sqls))
-
-        best_key, best_sqls = max(votes.items(), key=vote_rank)
-        state["raw_output"] = first_raw
-        state["predicted_sql"] = best_sqls[0]
-        state["completion_tokens"] = total_completion
-
-    # -- execution-feedback repair ---------------------------------------------
-
-    def _feedback_loop(self, state: State, collector) -> None:
-        """Bounded regenerate-from-diagnostics cycle for dead candidates.
-
-        Runs between the execute and score stages when
-        ``feedback_rounds > 0`` and the candidate died (fatal lint
-        diagnostic or execution failure).  Each round renders the
-        failure into a feedback turn (:func:`feedback_prompt`),
-        regenerates under sample tag ``fb-<round>``, and re-runs
-        analyze/execute on the result; the best candidate on the
-        degradation ladder wins, earliest round first.
-
-        Determinism rules:
-
-        * Every expensive step goes through the artifact cache under the
-          ordinary stage names, keyed on the feedback prompt's *content*
-          — a warm rerun or a journal resume mid-loop replays the whole
-          cycle byte-identically, and serial == parallel.
-        * The per-example budget is token-based, never wall-clock, so
-          the loop cuts at the same round everywhere.
-        * Transient faults are infrastructure, not model errors: a
-          transient execution class triggers one in-place re-execute,
-          and a :class:`ModelError` that survives the client's own
-          retry policy aborts the loop — neither consumes a feedback
-          round.
-
-        Exhausted budgets degrade gracefully: the best prior candidate
-        is kept and the record's class becomes ``repair:exhausted``
-        (transient aborts preserve their transient class instead).
-        """
-        example, plan, prompt = state["example"], state["plan"], state["prompt"]
-        analysis = state.get("analysis") or {}
-        if state.get("exec_ok", False):
-            return  # candidate executed — wrong answers are not repairable
-        current = _Candidate(
-            raw_output=str(state["raw_output"]),
-            predicted_sql=str(state["predicted_sql"]),
-            analysis=analysis,
-            final_sql=str(state.get("final_sql") or state["predicted_sql"]),
-            exec_ok=False,
-            exec_match=bool(state["exec_match"]),
-            error_class=(
-                str(analysis.get("error_class", ""))
-                or str(state.get("exec_error_class", ""))
-            ),
-        )
-        trigger_class = current.error_class or "unknown"
-        best = current
-        won_round = 0
-        rounds_attempted = 0
-        round_classes: List[str] = []
-        spent = 0
-        recovered = False
-        aborted_transient = False
-        gold = None
-        # Equivalence-class memo: a regeneration that canonicalizes to a
-        # statement this loop already executed reuses that outcome
-        # instead of a fresh round-trip.  Round 0's dead statement seeds
-        # the map — the most common repair failure is the model echoing
-        # a trivial rewrite of its own broken SQL.  Transient outcomes
-        # are never stored or reused (retrying them is the point).
-        dedup = self.dedup_active
-        fp_outcomes: Dict[str, Dict] = {}
-        if dedup and not current.analysis.get("fatal") and (
-            not is_transient_class(current.error_class)
-        ):
-            fp_outcomes[
-                self.semantic_fingerprint(example.db_id, current.final_sql)
-            ] = {
-                "ok": False,
-                "rows": None,
-                "error_class": current.error_class,
-                "transient": False,
-            }
-        for round_index in range(1, self.feedback_rounds + 1):
-            with collector.stage("repair"):
-                if is_transient_class(current.error_class):
-                    # Infrastructure condition (locked DB, chaos fault):
-                    # retry the same SQL in place; regenerating different
-                    # SQL cannot help, so no feedback round is charged.
-                    with collector.stage("execute"):
-                        outcome = self.execution_outcome(
-                            example.db_id, current.final_sql, collector
-                        )
-                    if outcome["ok"]:
-                        if gold is None:
-                            gold = self.gold_rows(example, collector)
-                        current.exec_ok = True
-                        current.error_class = ""
-                        current.exec_match = results_match(
-                            gold, outcome["rows"], example.query
-                        )
-                        recovered = True
-                        if _candidate_rank(current) > _candidate_rank(best):
-                            best = current
-                            won_round = rounds_attempted
-                    collector.record_repair_round("transient")
-                    aborted_transient = not recovered
-                    break
-                fb_prompt = feedback_prompt(
-                    prompt,
-                    current.final_sql,
-                    current.error_class,
-                    current.analysis.get("diagnostics", []),
-                    round_index=round_index,
-                )
-                if spent + fb_prompt.token_count > FEEDBACK_EXAMPLE_TOKEN_BUDGET:
-                    break  # token budget exhausted — deterministic cut
-                try:
-                    with collector.stage("generate"):
-                        generation = self.generation(
-                            plan.llm, fb_prompt, f"fb-{round_index}", collector
-                        )
-                except ModelError:
-                    # API fault that survived the client's own retry
-                    # policy: infrastructure, not the model's SQL.
-                    collector.record_repair_round("transient")
-                    aborted_transient = True
-                    break
-                completion = int(generation["completion_tokens"])
-                spent += fb_prompt.token_count + completion
-                state["completion_tokens"] = (
-                    int(state["completion_tokens"]) + completion
-                )
-                rounds_attempted = round_index
-                sql = extract_sql(generation["text"], fb_prompt.response_prefix)
-                with collector.stage("analyze"):
-                    payload = self.analysis(example.db_id, sql, collector)
-                final_sql = str(payload.get("final_sql") or sql)
-                if payload.get("fatal"):
-                    collector.record_short_circuit()
-                    candidate = _Candidate(
-                        raw_output=str(generation["text"]),
-                        predicted_sql=sql,
-                        analysis=payload,
-                        final_sql=final_sql,
-                        exec_ok=False,
-                        exec_match=False,
-                        error_class=str(payload.get("error_class", "")),
-                    )
-                else:
-                    if gold is None:
-                        gold = self.gold_rows(example, collector)
-                    fingerprint = (
-                        self.semantic_fingerprint(example.db_id, final_sql)
-                        if dedup else ""
-                    )
-                    if dedup and fingerprint in fp_outcomes:
-                        outcome = fp_outcomes[fingerprint]
-                        collector.record_semantic_dedup("repair")
-                    else:
-                        with collector.stage("execute"):
-                            outcome = self.execution_outcome(
-                                example.db_id, final_sql, collector
-                            )
-                        if dedup and not outcome["transient"]:
-                            fp_outcomes[fingerprint] = outcome
-                    exec_ok = bool(outcome["ok"])
-                    candidate = _Candidate(
-                        raw_output=str(generation["text"]),
-                        predicted_sql=sql,
-                        analysis=payload,
-                        final_sql=final_sql,
-                        exec_ok=exec_ok,
-                        exec_match=exec_ok and results_match(
-                            gold, outcome["rows"], example.query
-                        ),
-                        error_class=(
-                            "" if exec_ok else str(outcome["error_class"])
-                        ),
-                    )
-                round_classes.append(candidate.error_class)
-                if _candidate_rank(candidate) > _candidate_rank(best):
-                    best = candidate
-                    won_round = round_index
-                if candidate.exec_ok:
-                    recovered = True
-                    collector.record_repair_round("recovered")
-                    collector.record_repair_recovered(trigger_class)
-                    break
-                collector.record_repair_round("failed")
-                current = candidate
-        if not recovered:
-            collector.record_repair_round("exhausted")
-        state["raw_output"] = best.raw_output
-        state["predicted_sql"] = best.predicted_sql
-        state["analysis"] = best.analysis
-        state["final_sql"] = best.final_sql
-        state["exec_ok"] = best.exec_ok
-        state["exec_match"] = best.exec_match
-        state["exec_error_class"] = (
-            best.error_class
-            if not best.exec_ok and not best.analysis.get("fatal")
-            else ""
-        )
-        state["repair_rounds"] = rounds_attempted
-        state["repair_won_round"] = won_round
-        state["repair_round_classes"] = round_classes
-        if recovered:
-            state["repair_error_class"] = ""
-        elif aborted_transient:
-            state["repair_error_class"] = best.error_class
-        else:
-            state["repair_error_class"] = REPAIR_EXHAUSTED

@@ -20,16 +20,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.self_correction import SelfCorrector
 from ..eval.cost import accuracy_per_dollar, cost_per_question_usd
 from ..eval.harness import RunConfig
 from ..eval.reporting import percent
 from ..llm.simulated import make_llm
-from ..prompt.builder import PromptBuilder
-from ..prompt.organization import get_organization
-from ..prompt.representation import RepresentationOptions, get_representation
 from .base import ExperimentResult
 from .context import get_context
+from .exp_feedback import rounds_runner
 
 _DAIL_CONFIG = dict(
     model="gpt-4", representation="CR_P", organization="DAIL_O",
@@ -401,49 +398,40 @@ def run_calibration(fast: bool = False,
 
 def run_self_correction(fast: bool = False,
                         limit: Optional[int] = None) -> ExperimentResult:
-    """Execution-feedback retries on top of zero-shot prompting."""
-    from ..db.execution import results_match
+    """Execution-feedback retries on top of zero-shot prompting.
 
+    "Max attempts" N is the candidate search with N - 1 feedback rounds,
+    swept on the shared cache; a query counts as repaired when a
+    feedback round's candidate won.
+    """
     context = get_context(fast)
-    pool = context.corpus.pool()
-    rows: List[dict] = []
-    for model in ("gpt-4", "vicuna-33b"):
-        llm = make_llm(model, context.runner.oracle)
-        builder = PromptBuilder(
-            get_representation("CR_P", RepresentationOptions(foreign_keys=True)),
-            get_organization("FI_O"),
-        )
-        for max_attempts in (1, 2, 3):
-            corrector = SelfCorrector(llm, max_attempts=max_attempts)
-            correct = 0
-            corrected = 0
-            examples = context.dev.examples[:limit] if limit else context.dev.examples
-            for example in examples:
-                schema = context.dev.schema(example.db_id)
-                database = pool.get(example.db_id)
-                prompt = builder.build(schema, example.question)
-                sql, trace = corrector.generate(prompt, database)
-                corrected += trace.corrected
-                pred_rows = database.try_execute(sql)
-                gold_rows = database.execute(example.query)
-                if pred_rows is not None and results_match(
-                    gold_rows, pred_rows, example.query
-                ):
-                    correct += 1
-            rows.append({
-                "model": model,
-                "max attempts": max_attempts,
-                "EX": percent(correct / len(examples)),
-                "queries repaired": corrected,
-            })
+    configs = [RunConfig(model=model, representation="CR_P", foreign_keys=True)
+               for model in ("gpt-4", "vicuna-33b")]
+    attempts = (1, 2, 3)
+    grids = [
+        context.sweep(configs, limit=limit,
+                      runner=rounds_runner(context, max_attempts - 1))
+        for max_attempts in attempts
+    ]
+    rows: List[dict] = [
+        {
+            "model": config.model,
+            "max attempts": max_attempts,
+            "EX": percent(grid[index].execution_accuracy),
+            "queries repaired": sum(
+                1 for r in grid[index].records if r.repair_won_round > 0
+            ),
+        }
+        for index, config in enumerate(configs)
+        for max_attempts, grid in zip(attempts, grids)
+    ]
     return ExperimentResult(
         artifact_id="self_correction",
         title="Supplementary: execution-feedback self-correction (zero-shot)",
         rows=rows,
         notes=(
-            "Retries repair non-executable outputs; the accuracy gain "
-            "concentrates in strong models (their rare failures are "
-            "formatting), while weak models' repaired queries usually "
-            "remain wrong."
+            "Retries repair outputs that fail lint or execution; the "
+            "second attempt carries the whole EX gain for both models, "
+            "a third repairs a few more queries that stay wrong."
         ),
     )

@@ -21,7 +21,7 @@ from ..eval.harness import BenchmarkRunner, RunConfig
 from ..eval.reporting import percent
 from ..repair import REPAIR_EXHAUSTED
 from .base import ExperimentResult
-from .context import BENCHMARK_SEED, get_context
+from .context import BENCHMARK_SEED, ExperimentContext, get_context
 
 #: Round budgets the sweep compares (0 = loop disabled).
 ROUND_BUDGETS = (0, 1, 2)
@@ -35,23 +35,29 @@ SYSTEMS = (
 )
 
 
+def rounds_runner(context: ExperimentContext, rounds: int) -> BenchmarkRunner:
+    """The context's runner at another feedback round budget.
+
+    Same cache, same corpus: base generations and gold rows are shared
+    across budgets, only the feedback turns are new artifacts.
+    """
+    if rounds == context.runner.feedback_rounds:
+        return context.runner
+    return BenchmarkRunner(
+        context.dev, context.train, context.corpus.pool(),
+        seed=BENCHMARK_SEED, cache=context.runner.cache,
+        repair=context.runner.repair, feedback_rounds=rounds,
+    )
+
+
 def run(fast: bool = False, limit: Optional[int] = None) -> ExperimentResult:
     context = get_context(fast)
     configs = [config for _, config in SYSTEMS]
-    grids: Dict[int, object] = {}
-    for rounds in ROUND_BUDGETS:
-        if rounds == context.runner.feedback_rounds:
-            runner = context.runner
-        else:
-            # Same cache, same corpus, different round budget: base
-            # generations and gold rows are shared across columns, only
-            # the feedback turns are new artifacts.
-            runner = BenchmarkRunner(
-                context.dev, context.train, context.corpus.pool(),
-                seed=BENCHMARK_SEED, cache=context.runner.cache,
-                repair=context.runner.repair, feedback_rounds=rounds,
-            )
-        grids[rounds] = context.sweep(configs, limit=limit, runner=runner)
+    grids: Dict[int, object] = {
+        rounds: context.sweep(configs, limit=limit,
+                              runner=rounds_runner(context, rounds))
+        for rounds in ROUND_BUDGETS
+    }
     rows: List[dict] = []
     for index, (label, _) in enumerate(SYSTEMS):
         row: dict = {"system": label}

@@ -21,7 +21,8 @@ Request processing enforces, in order:
 2. a per-request deadline budget, checked between pipeline steps and
    enforced inside blocking generation waits,
 3. the analyzer safety gate before any execution
-   (:class:`~repro.errors.UnsafeSqlError` for fatal diagnostics),
+   (:class:`~repro.errors.UnsafeSqlError` for fatal diagnostics on
+   ``/v1/execute``; ``/v1/generate`` never executes a fatal candidate),
 4. the shared :class:`~repro.resilience.breaker.CircuitBreaker` on the
    LLM path (via the coalescer).
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from ..api.wire import (
     ExecuteRequest,
@@ -44,9 +45,9 @@ from ..api.wire import (
     LintResponse,
 )
 from ..errors import DeadlineExceededError, UnsafeSqlError
+from ..eval.candidates import search
 from ..eval.harness import BenchmarkRunner, RunConfig, RunPlan
 from ..eval.telemetry import TelemetryCollector
-from ..llm.extract import extract_sql
 from ..obs import context as obs_context
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import build_tracer
@@ -154,10 +155,11 @@ class SqlService:
         feedback_rounds: server default for the execution-feedback
             repair loop on ``/v1/generate`` (requests may raise or
             lower it per call via the wire ``feedback_rounds`` field).
-            ``None`` inherits the runner's configured rounds.  The
-            generate path never executes, so the serve-side loop
-            triggers on fatal lint diagnostics only — on the same
-            feedback-prompt artifacts the batch loop produces.
+            ``None`` inherits the runner's configured rounds.  With
+            rounds on, generate executes its winner behind the analyzer
+            gate, so the loop repairs execution failures as well as
+            fatal lint diagnostics — it is the batch candidate search,
+            on the same artifacts.
     """
 
     def __init__(
@@ -242,13 +244,16 @@ class SqlService:
     def generate(
         self, request: GenerateRequest, request_id: str = ""
     ) -> GenerateResponse:
-        """Question → SQL through the full select/build/generate chain.
+        """Question → SQL through select, build and the candidate search
+        batch sweeps run (:func:`repro.eval.candidates.search`), so a
+        request returns the SQL a sweep with the same config records.
 
         Raises:
             RateLimitedError: tenant over its budget.
             DeadlineExceededError: request budget expired.
             DatasetError: unknown ``db_id``.
-            CircuitOpenError: LLM circuit open.
+            CircuitOpenError: LLM circuit open on the first round (a
+                feedback round that fails keeps the best candidate).
         """
         with self._request_scope("generate", request, request_id):
             return self._generate(request, request_id)
@@ -268,40 +273,25 @@ class SqlService:
             )
         with collector.stage("build"):
             prompt = self.plan.builder.build(schema, request.question, blocks)
-        client = _DeadlineClient(self.coalescer, deadline)
-        if request.n_samples > 1:
-            sql, completion_tokens = self._vote(
-                client, prompt, request, deadline, collector
-            )
-        else:
-            with collector.stage("generate"):
-                generation = self.pipeline.generation(
-                    client, prompt, "", collector
-                )
-            completion_tokens = int(generation["completion_tokens"])
-            with collector.stage("extract"):
-                sql = extract_sql(generation["text"], prompt.response_prefix)
-        deadline.check("analyze")
-        with collector.stage("analyze"):
-            payload = self.pipeline.analysis(request.db_id, sql, collector)
-        rounds = (
-            request.feedback_rounds
-            if request.feedback_rounds > 0 else self.feedback_rounds
+        result = search(
+            self.pipeline, _DeadlineClient(self.coalescer, deadline),
+            prompt, request.db_id,
+            n_samples=request.n_samples,
+            feedback_rounds=(
+                request.feedback_rounds
+                if request.feedback_rounds > 0 else self.feedback_rounds
+            ),
+            execute=False, collector=collector, check=deadline.check,
         )
-        if rounds > 0 and payload.get("fatal"):
-            sql, payload, completion_tokens = self._lint_feedback(
-                client, prompt, sql, payload, rounds,
-                request, deadline, collector, completion_tokens,
-            )
-        final_sql = str(payload.get("final_sql") or sql)
+        winner = result.winner
         return GenerateResponse(
-            sql=final_sql,
+            sql=winner.final_sql,
             db_id=request.db_id,
-            statement_kind=str(payload.get("statement_kind", "")),
-            error_class=str(payload.get("error_class", "")),
-            fatal=bool(payload.get("fatal")),
+            statement_kind=str(winner.analysis.get("statement_kind", "")),
+            error_class=str(winner.analysis.get("error_class", "")),
+            fatal=winner.fatal,
             prompt_tokens=prompt.token_count,
-            completion_tokens=completion_tokens,
+            completion_tokens=result.completion_tokens,
             n_examples=prompt.n_examples,
             cached=collector.generate_was_cached(),
             request_id=request_id,
@@ -370,12 +360,12 @@ class SqlService:
             final_sql = transpile(final_sql, request.dialect, pool_dialect)
         deadline.check("execute")
         with self.collector.stage("execute"):
-            rows = self.pipeline.predicted_rows(
+            outcome = self.pipeline.execution_outcome(
                 request.db_id, final_sql, self.collector
             )
-        encoded: List[List[object]] = (
-            [] if rows is None else [list(row) for row in rows]
-        )
+        encoded: List[List[object]] = [
+            list(row) for row in outcome["rows"] or []
+        ]
         return ExecuteResponse(
             db_id=request.db_id,
             sql=final_sql,
@@ -431,97 +421,6 @@ class SqlService:
             strategy=self.plan.strategy,
             n_samples=self.plan.n_samples,
         )
-
-    def _lint_feedback(
-        self, client, prompt, sql, payload, rounds: int,
-        request: GenerateRequest, deadline: _Deadline, collector,
-        completion_tokens: int,
-    ):
-        """The serve-side execution-feedback loop (lint gate only — the
-        generate path never executes).
-
-        Mirrors the batch pipeline's ``_feedback_loop``: feedback
-        prompts are built by the same renderer from the same
-        (sql, error class, diagnostics, round) inputs, so every round's
-        ``generate`` artifact is shared with sweeps that repaired the
-        same failure.  The request deadline is checked before each
-        round — the loop composes with the engine deadline budget
-        instead of adding its own clock.
-        """
-        from ..repair.feedback import feedback_prompt
-
-        trigger_class = str(payload.get("error_class", "")) or "unknown"
-        current_sql, current_payload = sql, payload
-        for round_index in range(1, rounds + 1):
-            deadline.check(f"feedback round {round_index}")
-            with collector.stage("repair"):
-                fb_prompt = feedback_prompt(
-                    prompt,
-                    str(current_payload.get("final_sql") or current_sql),
-                    str(current_payload.get("error_class", "")),
-                    current_payload.get("diagnostics", []),
-                    round_index=round_index,
-                )
-                with collector.stage("generate"):
-                    generation = self.pipeline.generation(
-                        client, fb_prompt, f"fb-{round_index}", collector
-                    )
-                completion_tokens += int(generation["completion_tokens"])
-                candidate_sql = extract_sql(
-                    generation["text"], fb_prompt.response_prefix
-                )
-                with collector.stage("analyze"):
-                    candidate = self.pipeline.analysis(
-                        request.db_id, candidate_sql, collector
-                    )
-                if not candidate.get("fatal"):
-                    collector.record_repair_round("recovered")
-                    collector.record_repair_recovered(trigger_class)
-                    return candidate_sql, candidate, completion_tokens
-                collector.record_repair_round("failed")
-                current_sql, current_payload = candidate_sql, candidate
-        # Exhausted: every candidate is equally fatal, so the earliest
-        # (the original) wins the degradation ladder.
-        collector.record_repair_round("exhausted")
-        return sql, payload, completion_tokens
-
-    def _vote(
-        self, client, prompt, request: GenerateRequest,
-        deadline: _Deadline, collector,
-    ):
-        """Execution-majority self-consistency over ``n_samples``
-        (mirrors the pipeline's voting loop, on the same artifacts)."""
-        votes: Dict[str, List[str]] = {}
-        total_completion = 0
-        for index in range(request.n_samples):
-            deadline.check(f"generate sample {index}")
-            with collector.stage("generate"):
-                generation = self.pipeline.generation(
-                    client, prompt, f"sc-{index}", collector
-                )
-            total_completion += int(generation["completion_tokens"])
-            sql = extract_sql(generation["text"], prompt.response_prefix)
-            with collector.stage("analyze"):
-                payload = self.pipeline.analysis(
-                    request.db_id, sql, collector
-                )
-            final_sql = str(payload.get("final_sql") or sql)
-            if payload.get("fatal"):
-                rows = None
-            else:
-                with collector.stage("execute"):
-                    rows = self.pipeline.predicted_rows(
-                        request.db_id, final_sql, collector
-                    )
-            key = "<error>" if rows is None else repr(sorted(map(repr, rows)))
-            votes.setdefault(key, []).append(sql)
-
-        def vote_rank(item):
-            key, sqls = item
-            return (key != "<error>", len(sqls))
-
-        _, best_sqls = max(votes.items(), key=vote_rank)
-        return best_sqls[0], total_completion
 
     def close(self) -> None:
         """Stop the coalescer's dispatcher thread (and a tracer built

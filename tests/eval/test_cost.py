@@ -4,13 +4,12 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.eval.cost import (
-    PRICES,
     accuracy_per_dollar,
     cost_per_question_usd,
-    price_sheet,
     report_cost_usd,
 )
 from repro.eval.metrics import EvalReport, PredictionRecord
+from repro.obs.cost import PRICES, price_sheet
 
 
 def report(n=4, prompt_tokens=1000, completion_tokens=50, correct=True):

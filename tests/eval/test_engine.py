@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.eval.engine import EvalEngine, GridResult, GridRunner
-from repro.eval.harness import BenchmarkRunner, RunConfig, run_grid
+from repro.eval.harness import BenchmarkRunner, RunConfig
 
 
 def fresh_runner(corpus, **kwargs):
@@ -196,16 +196,3 @@ class TestGridResult:
             EvalEngine(runner).run_many(
                 [ZERO_SHOT, FEW_SHOT], limit=2, n_samples=[3]
             )
-
-
-class TestDeprecatedShim:
-    def test_run_grid_warns_and_matches_sweep(self, corpus):
-        configs = [
-            RunConfig(model="gpt-4", representation="OD_P"),
-            RunConfig(model="gpt-4", representation="BS_P"),
-        ]
-        with pytest.warns(DeprecationWarning, match="GridRunner"):
-            reports = run_grid(fresh_runner(corpus), configs, limit=4)
-        grid = GridRunner(fresh_runner(corpus)).sweep(configs, limit=4)
-        assert [record_dicts(r) for r in reports] == \
-            [record_dicts(r) for r in grid]

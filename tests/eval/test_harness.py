@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EvaluationError
-from repro.eval.harness import BenchmarkRunner, RunConfig, run_grid
+from repro.eval.harness import BenchmarkRunner, RunConfig
 
 
 class TestRunConfig:
@@ -83,15 +83,3 @@ class TestRun:
         )
         assert len(report) == 4
         assert runner._preliminary  # cache populated
-
-
-class TestGrid:
-    def test_run_grid_deprecated_but_working(self, runner):
-        configs = [
-            RunConfig(model="gpt-4", representation="OD_P"),
-            RunConfig(model="gpt-4", representation="BS_P"),
-        ]
-        with pytest.warns(DeprecationWarning):
-            reports = run_grid(runner, configs, limit=4)
-        assert len(reports) == 2
-        assert all(len(r) == 4 for r in reports)

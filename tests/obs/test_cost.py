@@ -38,13 +38,6 @@ class TestPricing:
         with pytest.raises(EvaluationError):
             price_sheet("mystery-9000")
 
-    def test_eval_cost_shim_reexports(self):
-        # The historical import path must keep working.
-        from repro.eval import cost as eval_cost
-
-        assert eval_cost.PRICES is PRICES
-        assert eval_cost.price_sheet("gpt-4") == PRICES["gpt-4"]
-
 
 class TestMeter:
     def test_records_tokens_by_kind_and_model(self, meter, registry):

@@ -13,10 +13,12 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.api.wire import GenerateRequest
 from repro.eval.engine import GridRunner
 from repro.eval.harness import BenchmarkRunner, RunConfig
 from repro.obs.metrics import M_REPAIR_ROUNDS, MetricsRegistry
 from repro.repair import REPAIR_EXHAUSTED
+from repro.serve import SqlService
 
 #: A weak model fails often enough to exercise every loop outcome.
 CONFIG = RunConfig(model="llama-13b", representation="CR_P")
@@ -66,6 +68,27 @@ class TestUplift:
         assert all(r.repair_rounds == 0 and r.repair_won_round == 0
                    and r.repair_round_classes == []
                    for r in baseline.records)
+
+
+class TestServedRepair:
+    def test_serve_repairs_execution_failures_like_batch(self, corpus):
+        # First candidates that passed lint but failed to execute: the
+        # served loop repairs them exactly as the sweep did.
+        before_all = fb_runner(corpus, rounds=0).run(CONFIG)
+        after = {r.example_id: r for r in fb_runner(corpus).run(CONFIG).records}
+        targets = [r for r in before_all.records
+                   if r.error_class.startswith("exec:")
+                   and after[r.example_id].repair_won_round > 0]
+        assert targets, "no execution failure recovered by the sweep"
+        with SqlService(fb_runner(corpus), CONFIG, metrics=MetricsRegistry(),
+                        max_wait_s=0.001) as service:
+            for before in targets:
+                served = service.generate(GenerateRequest(
+                    question=before.question, db_id=before.db_id,
+                ))
+                assert served.sql == after[before.example_id].predicted_sql
+                assert served.sql != before.predicted_sql
+                assert served.error_class == ""
 
 
 class TestProvenance:

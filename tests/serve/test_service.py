@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.api.wire import (
@@ -11,13 +13,16 @@ from repro.api.wire import (
     LintRequest,
 )
 from repro.errors import (
+    CircuitOpenError,
     DatasetError,
     DeadlineExceededError,
     RateLimitedError,
     UnsafeSqlError,
 )
+from repro.eval.harness import BenchmarkRunner, RunConfig
 from repro.obs.metrics import (
     M_CACHE_REQUESTS,
+    M_SEMANTIC_DEDUP,
     M_SERVE_COALESCE_BATCH,
     MetricsRegistry,
 )
@@ -88,6 +93,99 @@ class TestGenerate:
             M_CACHE_REQUESTS, {"stage": "generate"}
         ) >= 1
         assert registry.histogram_count(M_SERVE_COALESCE_BATCH) >= 1
+
+
+#: A weak model: dead first candidates and duplicate samples are common.
+WEAK = RunConfig(model="llama-13b", representation="CR_P")
+
+
+def weak_service(corpus, **kwargs):
+    runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(), seed=3)
+    return SqlService(runner, WEAK, metrics=MetricsRegistry(),
+                      max_wait_s=0.001, **kwargs)
+
+
+def dead_example(corpus):
+    """A dev question whose first candidate fails lint or execution."""
+    runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(), seed=3)
+    report = runner.run(WEAK)
+    record = next(r for r in report.records if r.error_class)
+    return record
+
+
+class _FeedbackHook:
+    """LLM facade calling ``hook(tag)`` on every feedback-round batch."""
+
+    def __init__(self, inner, hook):
+        self.inner = inner
+        self.hook = hook
+        self.model_id = inner.model_id
+
+    def fingerprint(self):
+        return self.inner.fingerprint()
+
+    def generate_batch(self, prompts, sample_tag=""):
+        results = self.inner.generate_batch(prompts, sample_tag=sample_tag)
+        if sample_tag.startswith("fb-"):
+            self.hook(sample_tag)
+        return results
+
+
+class TestGenerateSearch:
+    """``/v1/generate`` runs the batch candidate search: repair on
+    execution failures, the ModelError-keeps-best rule, deadline checks
+    between rounds and semantic dedup of voted samples."""
+
+    def test_circuit_open_on_feedback_round_keeps_best(self, corpus):
+        dead = dead_example(corpus)
+        request = GenerateRequest(question=dead.question, db_id=dead.db_id,
+                                  feedback_rounds=2)
+
+        refused = []
+
+        def refuse(tag):
+            refused.append(tag)
+            raise CircuitOpenError("llm circuit is open")
+
+        with weak_service(corpus) as service:
+            service.coalescer.llm = _FeedbackHook(service.coalescer.llm,
+                                                  refuse)
+            response = service.generate(request)
+        assert refused == ["fb-1"]
+        assert response.sql == dead.predicted_sql
+
+    def test_deadline_expiring_between_rounds_raises(self, corpus):
+        dead = dead_example(corpus)
+        skew = [0.0]
+
+        def expire(tag):
+            skew[0] = 3600.0
+
+        with weak_service(
+            corpus, clock=lambda: time.monotonic() + skew[0]
+        ) as service:
+            service.coalescer.llm = _FeedbackHook(service.coalescer.llm,
+                                                  expire)
+            with pytest.raises(DeadlineExceededError):
+                service.generate(GenerateRequest(
+                    question=dead.question, db_id=dead.db_id,
+                    feedback_rounds=2,
+                ))
+
+    def test_served_votes_dedup_like_batch(self, corpus):
+        examples = corpus.dev.examples[:16]
+        batch = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(),
+                                seed=3)
+        batch.run(WEAK, limit=len(examples), n_samples=5)
+        with weak_service(corpus) as service:
+            for example in examples:
+                service.generate(GenerateRequest(
+                    question=example.question, db_id=example.db_id,
+                    n_samples=5,
+                ))
+            assert service.metrics.counter_value(M_SEMANTIC_DEDUP) > 0
+            served = service.runner.cache.stats()["execute"]["misses"]
+        assert served <= batch.cache.stats()["execute"]["misses"]
 
 
 class TestLint:
