@@ -12,7 +12,13 @@ The pipeline combines the winners of each benchmark axis:
 4. optional **self-consistency** — sample several generations and take the
    execution-majority answer.
 
-``DailSQL`` is model-agnostic: it drives any
+``DailSQL`` is a facade over the path batch sweeps and ``/v1/generate``
+run — :meth:`EvalPipeline.preliminary_sql
+<repro.eval.pipeline.EvalPipeline.preliminary_sql>` →
+:meth:`~repro.eval.pipeline.EvalPipeline.selection_blocks` → the plan's
+prompt builder → :func:`repro.eval.candidates.search` — over the caller's
+schema and database, so it returns the SQL a sweep with the leaderboard
+DAIL config records.  It is model-agnostic: it drives any
 :class:`~repro.llm.interface.LLMClient`, including the simulated models the
 benchmark ships and any real API client a downstream user plugs in.
 """
@@ -22,14 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..cache.store import ArtifactCache
 from ..dataset.spider import SpiderDataset
 from ..db.sqlite_backend import Database
-from ..eval.candidates import majority_vote, sample_tag
-from ..llm.extract import extract_sql
+from ..eval.candidates import search
+from ..eval.harness import RunConfig, RunPlan
+from ..eval.pipeline import EvalPipeline
 from ..llm.interface import LLMClient
-from ..prompt.builder import Prompt, PromptBuilder
-from ..prompt.organization import ExampleBlock, get_organization
-from ..prompt.representation import RepresentationOptions, get_representation
+from ..prompt.builder import Prompt
 from ..schema.model import DatabaseSchema
 from ..selection.strategies import DailSelection
 
@@ -50,6 +56,21 @@ class DailSQLResult:
         return self.prompt.token_count
 
 
+class _BoundPool:
+    """The caller's one database, in the shape the pipeline executes
+    against (the artifact cache lives for one call, so a database's
+    fingerprint only has to tell it apart from none)."""
+
+    def __init__(self, database: Optional[Database]):
+        self.database = database
+
+    def get(self, db_id: str) -> Optional[Database]:
+        return self.database
+
+    def fingerprint(self, db_id: str) -> str:
+        return db_id
+
+
 class DailSQL:
     """The integrated DAIL-SQL pipeline.
 
@@ -60,7 +81,7 @@ class DailSQL:
         k: number of in-context examples requested.
         max_tokens: prompt budget; examples are dropped to fit.
         n_samples: >1 enables self-consistency (requires ``database``
-            or a pool at query time for execution voting).
+            at query time for execution voting).
     """
 
     def __init__(
@@ -73,43 +94,33 @@ class DailSQL:
     ):
         self.llm = llm
         self.candidates = candidates
-        self.k = k
         self.n_samples = n_samples
-        options = RepresentationOptions(foreign_keys=True)
-        self._representation = get_representation("CR_P", options)
-        self._zero_shot_builder = PromptBuilder(
-            self._representation, get_organization("FI_O")
-        )
-        self._builder = PromptBuilder(
-            self._representation, get_organization("DAIL_O"), max_tokens=max_tokens
-        )
         self._selection = DailSelection(candidates)
+        self.plan = RunPlan.of(
+            RunConfig(
+                model=llm.model_id, representation="CR_P",
+                organization="DAIL_O", selection="DAIL_S", k=k,
+                foreign_keys=True, max_tokens=max_tokens, label="DAIL-SQL",
+            ),
+            llm, self._selection, n_samples,
+        )
 
-    # -- pipeline stages ------------------------------------------------------
+    def _pipeline(
+        self, schema: DatabaseSchema, database: Optional[Database]
+    ) -> EvalPipeline:
+        """One call's pipeline: ``schema`` is its dataset — and the
+        selection masks the question with that schema's linker."""
+        target = SpiderDataset([], [schema])
+        self._selection.set_target_dataset(target)
+        return EvalPipeline(
+            target, self.candidates, _BoundPool(database), ArtifactCache()
+        )
 
     def preliminary_sql(self, schema: DatabaseSchema, question: str) -> str:
         """Zero-shot prediction whose skeleton guides example selection."""
-        prompt = self._zero_shot_builder.build(schema, question)
-        result = self.llm.generate(prompt, sample_tag="preliminary")
-        return extract_sql(result.text, prompt.response_prefix)
-
-    def select_examples(
-        self, schema: DatabaseSchema, question: str, preliminary: str
-    ) -> List[ExampleBlock]:
-        """DAIL selection against the candidate pool (prompt order)."""
-        return self._selection.select(
-            question, schema.db_id, self.k, predicted_sql=preliminary
+        return self._pipeline(schema, None).preliminary_sql(
+            self.plan, question, schema.db_id
         )
-
-    def build_prompt(
-        self,
-        schema: DatabaseSchema,
-        question: str,
-        examples: List[ExampleBlock],
-    ) -> Prompt:
-        return self._builder.build(schema, question, examples)
-
-    # -- entry points -------------------------------------------------------------
 
     def generate_sql(
         self,
@@ -120,35 +131,24 @@ class DailSQL:
         """Translate one question to SQL.
 
         ``database`` is only needed when ``n_samples > 1`` (execution-
-        majority self-consistency); without it, the first sample wins.
+        majority self-consistency, where a fatally-diagnosed sample
+        votes as an error and never executes); without it, the first
+        sample wins.
         """
-        preliminary = self.preliminary_sql(schema, question)
-        examples = self.select_examples(schema, question, preliminary)
-        prompt = self.build_prompt(schema, question, examples)
-
-        samples: List[str] = []
-        if self.n_samples <= 1 or database is None:
-            result = self.llm.generate(prompt)
-            sql = extract_sql(result.text, prompt.response_prefix)
-            raw = result.text
-            samples.append(sql)
-        else:
-            raw, sql, samples = self._self_consistency(prompt, database)
-
+        pipeline = self._pipeline(schema, database)
+        preliminary = pipeline.preliminary_sql(self.plan, question, schema.db_id)
+        blocks = pipeline.selection_blocks(self.plan, question, schema.db_id)
+        prompt = self.plan.builder.build(schema, question, blocks)
+        result = search(
+            pipeline, self.llm, prompt, schema.db_id,
+            n_samples=self.n_samples if database is not None else 1,
+            execute=False,
+        )
         return DailSQLResult(
-            sql=sql,
-            raw_output=raw,
+            sql=result.winner.predicted_sql,
+            raw_output=result.winner.raw_output,
             prompt=prompt,
             preliminary_sql=preliminary,
             n_examples=prompt.n_examples,
-            samples=samples,
+            samples=[c.predicted_sql for c in result.samples],
         )
-
-    def _self_consistency(self, prompt: Prompt, database: Database):
-        raws = [
-            self.llm.generate(prompt, sample_tag=sample_tag(index)).text
-            for index in range(self.n_samples)
-        ]
-        samples = [extract_sql(raw, prompt.response_prefix) for raw in raws]
-        winner = majority_vote([database.try_execute(sql) for sql in samples])
-        return raws[0], samples[winner], samples

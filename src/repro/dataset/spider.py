@@ -278,7 +278,7 @@ def validate_dataset(dataset: SpiderDataset) -> List[str]:
     """
     problems: List[str] = []
     from ..sql.ast_nodes import TableRef, iter_column_refs, iter_subqueries
-    from ..sql.normalize import resolve_aliases
+    from ..sql.canonical import resolve_aliases
 
     for example in dataset:
         parsed = try_parse(example.query)

@@ -131,6 +131,8 @@ class SearchResult:
     winner: Candidate
     #: Completion tokens summed over every sample and feedback round.
     completion_tokens: int
+    #: The round-0 candidates, in sample order.
+    samples: List[Candidate] = field(default_factory=list)
     #: Feedback rounds that generated a candidate.
     repair_rounds: int = 0
     #: Round whose candidate won (0: the original candidate).
@@ -191,10 +193,12 @@ def search(
         winner = replace(winner, raw_output=samples[0][0].raw_output)
         tokens = sum(completion for _, completion in samples)
     else:
-        winner, tokens = run.sample(prompt, "")
+        samples = [run.sample(prompt, "")]
+        winner, tokens = samples[0]
         if execute or feedback_rounds > 0:
             run.execute(winner, None, "")
-    result = SearchResult(winner=winner, completion_tokens=tokens)
+    result = SearchResult(winner=winner, completion_tokens=tokens,
+                          samples=[candidate for candidate, _ in samples])
     if feedback_rounds > 0 and not winner.exec_ok:
         run.repair(result, feedback_rounds)
     return result

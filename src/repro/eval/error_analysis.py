@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..sql.ast_nodes import Literal, Query, iter_conditions, iter_subqueries
-from ..sql.normalize import resolve_aliases
+from ..sql.canonical import resolve_aliases
 from ..sql.parser import try_parse
 from ..repair.taxonomy import is_transient_class
 from .exact_match import component_match

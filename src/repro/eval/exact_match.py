@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..sql.canonical import core_components, query_key
-from ..sql.normalize import resolve_aliases
+from ..sql.canonical import core_components, query_key, resolve_aliases
 from ..sql.parser import try_parse
 from ..sql.ast_nodes import Query
 

@@ -121,6 +121,33 @@ class RunPlan:
     strategy: Optional[SelectionStrategy]
     n_samples: int = 1
 
+    @classmethod
+    def of(
+        cls,
+        config: RunConfig,
+        llm,
+        strategy: Optional[SelectionStrategy],
+        n_samples: int = 1,
+    ) -> "RunPlan":
+        """The plan of ``config`` over a given client and strategy.
+
+        Raises:
+            PromptError: unknown representation or organization ids.
+        """
+        representation = get_representation(
+            config.representation,
+            RepresentationOptions(
+                foreign_keys=config.foreign_keys,
+                rule_implication=config.rule_implication,
+            ),
+        )
+        builder = PromptBuilder(
+            representation,
+            get_organization(config.organization),
+            max_tokens=config.max_tokens,
+        )
+        return cls(config, builder, llm, strategy, n_samples)
+
 
 class BenchmarkRunner:
     """Evaluates run configurations over one dataset.
@@ -223,11 +250,6 @@ class BenchmarkRunner:
 
     # -- caches ------------------------------------------------------------
 
-    @property
-    def _preliminary(self) -> Dict[str, str]:
-        """Memory-tier preliminary-SQL artifacts (back-compat view)."""
-        return self.cache.stage_entries("preliminary")
-
     def _selection(self, sel_id: str) -> SelectionStrategy:
         with self._selection_lock:
             strategy = self._selections.get(sel_id)
@@ -266,30 +288,12 @@ class BenchmarkRunner:
             EvaluationError: on misconfiguration (few-shot without a
                 candidate pool, unknown representation/organization ids).
         """
-        representation = get_representation(
-            config.representation,
-            RepresentationOptions(
-                foreign_keys=config.foreign_keys,
-                rule_implication=config.rule_implication,
-            ),
-        )
-        organization = get_organization(config.organization)
-        builder = PromptBuilder(
-            representation, organization, max_tokens=config.max_tokens
-        )
-        llm = self._build_llm(config)
         strategy = (
             self._selection(config.selection)
             if config.selection and config.k > 0
             else None
         )
-        return RunPlan(
-            config=config,
-            builder=builder,
-            llm=llm,
-            strategy=strategy,
-            n_samples=n_samples,
-        )
+        return RunPlan.of(config, self._build_llm(config), strategy, n_samples)
 
     def examples_for(self, limit: Optional[int] = None) -> List[Example]:
         """The evaluation examples of one run (``limit`` for smoke runs)."""

@@ -32,7 +32,8 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from dataclasses import replace
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..api.wire import (
     ExecuteRequest,
@@ -46,11 +47,13 @@ from ..api.wire import (
 )
 from ..errors import DeadlineExceededError, UnsafeSqlError
 from ..eval.candidates import search
-from ..eval.harness import BenchmarkRunner, RunConfig, RunPlan
+from ..eval.harness import BenchmarkRunner, RunConfig
 from ..eval.telemetry import TelemetryCollector
 from ..obs import context as obs_context
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import build_tracer
+from ..prompt.builder import Prompt
+from ..prompt.organization import ExampleBlock
 from ..resilience.breaker import CircuitBreaker
 from ..sql.transpile import transpile
 from .coalesce import CoalescingClient, GenerateCoalescer
@@ -205,13 +208,7 @@ class SqlService:
         )
         #: The served plan: identical to a sweep's except generation is
         #: routed through the coalescer (same cache fingerprint).
-        self.plan = RunPlan(
-            config=base_plan.config,
-            builder=base_plan.builder,
-            llm=CoalescingClient(self.coalescer),
-            strategy=base_plan.strategy,
-            n_samples=base_plan.n_samples,
-        )
+        self.plan = replace(base_plan, llm=CoalescingClient(self.coalescer))
 
     # -- request scope -------------------------------------------------------
 
@@ -264,15 +261,7 @@ class SqlService:
         deadline = _Deadline(self.clock, request.deadline_s)
         collector = self.collector
         collector.begin_request()
-        schema = self.pipeline.dataset.schema(request.db_id)
-        deadline.check("select")
-        with collector.stage("select"):
-            blocks = self.pipeline.selection_blocks(
-                self._deadline_plan(deadline), request.question,
-                request.db_id, collector,
-            )
-        with collector.stage("build"):
-            prompt = self.plan.builder.build(schema, request.question, blocks)
+        _, prompt = self._prompt(request, deadline)
         result = search(
             self.pipeline, _DeadlineClient(self.coalescer, deadline),
             prompt, request.db_id,
@@ -380,17 +369,7 @@ class SqlService:
         """The prompt a generate would send — selection + build only."""
         with self._request_scope("explain", request, request_id):
             deadline = _Deadline(self.clock, request.deadline_s)
-            schema = self.pipeline.dataset.schema(request.db_id)
-            deadline.check("select")
-            with self.collector.stage("select"):
-                blocks = self.pipeline.selection_blocks(
-                    self._deadline_plan(deadline), request.question,
-                    request.db_id, self.collector,
-                )
-            with self.collector.stage("build"):
-                prompt = self.plan.builder.build(
-                    schema, request.question, blocks
-                )
+            blocks, prompt = self._prompt(request, deadline)
             return ExplainResponse(
                 db_id=request.db_id,
                 question=request.question,
@@ -410,17 +389,24 @@ class SqlService:
 
     # -- internals -----------------------------------------------------------
 
-    def _deadline_plan(self, deadline: _Deadline) -> RunPlan:
-        """The served plan with generation waits capped at the request
-        deadline (the DAIL preliminary pass inside selection generates).
+    def _prompt(
+        self, request, deadline: _Deadline
+    ) -> Tuple[List[ExampleBlock], Prompt]:
+        """Select → build: the prompt a generate sends.
+
+        Selection runs the served plan with generation waits capped at
+        the request deadline (the DAIL preliminary pass generates).
         """
-        return RunPlan(
-            config=self.plan.config,
-            builder=self.plan.builder,
-            llm=_DeadlineClient(self.coalescer, deadline),
-            strategy=self.plan.strategy,
-            n_samples=self.plan.n_samples,
-        )
+        schema = self.pipeline.dataset.schema(request.db_id)
+        plan = replace(self.plan, llm=_DeadlineClient(self.coalescer, deadline))
+        deadline.check("select")
+        with self.collector.stage("select"):
+            blocks = self.pipeline.selection_blocks(
+                plan, request.question, request.db_id, self.collector
+            )
+        with self.collector.stage("build"):
+            prompt = self.plan.builder.build(schema, request.question, blocks)
+        return blocks, prompt
 
     def close(self) -> None:
         """Stop the coalescer's dispatcher thread (and a tracer built

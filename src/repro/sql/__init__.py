@@ -1,5 +1,5 @@
-"""SQL toolkit: tokenizer, parser, AST, unparser, normaliser, skeletons,
-and the Spider hardness rubric."""
+"""SQL toolkit: tokenizer, parser, AST, unparser, canonical forms and alias
+resolution, skeletons, and the Spider hardness rubric."""
 
 from .ast_nodes import (
     AndCondition,
@@ -39,6 +39,7 @@ from .canonical import (
     expr_key,
     leaf_key,
     query_key,
+    resolve_aliases,
 )
 from .dialect import (
     REFERENCE_DIALECT,
@@ -49,7 +50,6 @@ from .dialect import (
     register_dialect,
 )
 from .hardness import HARDNESS_LEVELS, hardness
-from .normalize import normalize_sql, queries_equal, resolve_aliases
 from .parser import parse, try_parse
 from .skeleton import (
     query_signature,
@@ -73,8 +73,7 @@ __all__ = [
     "Literal", "NotCondition", "OrCondition", "OrderItem", "Query",
     "SelectCore", "SelectItem", "SubqueryTable", "TableRef",
     "iter_column_refs", "iter_conditions", "iter_subqueries",
-    "HARDNESS_LEVELS", "hardness", "normalize_sql", "queries_equal",
-    "resolve_aliases", "parse", "try_parse", "query_signature",
+    "HARDNESS_LEVELS", "hardness", "parse", "try_parse", "query_signature",
     "skeleton_similarity", "skeleton_tokens", "sql_skeleton",
     "Token", "TokenType", "tokenize", "unparse",
     "DialectProfile", "REFERENCE_DIALECT", "dialect_names", "get_dialect",
@@ -82,4 +81,5 @@ __all__ = [
     "parse_dialect", "render", "transpile",
     "canonical_fingerprint", "canonicalize", "canonicalize_condition",
     "condition_keys", "core_components", "expr_key", "leaf_key", "query_key",
+    "resolve_aliases",
 ]

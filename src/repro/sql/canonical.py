@@ -19,7 +19,7 @@ sorted for uniform ``UNION``/``INTERSECT`` chains.
 
 Applied rewrites:
 
-* alias erasure via :func:`repro.sql.normalize.resolve_aliases`;
+* alias erasure via :func:`resolve_aliases`;
 * double negation and De Morgan pushed to the leaves
   (``NOT (a AND b)`` → ``NOT a OR NOT b``, ``NOT x < y`` → ``x >= y``);
 * AND/OR flattening, idempotent deduplication, and commutative operand
@@ -77,7 +77,6 @@ from .ast_nodes import (
     TableSource,
     iter_conditions,
 )
-from .normalize import resolve_aliases
 from .parser import parse, try_parse
 from .unparse import condition_text, unparse
 
@@ -243,6 +242,151 @@ def query_key(query: Query, mask_values: bool = True) -> str:
             f"{_order_key(core, mask_values)}|{core.limit is not None}"
         )
     return "&&".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Alias resolution (shared by exact-match and canonicalization)
+# ---------------------------------------------------------------------------
+
+
+def _binding_map(clause: Optional[FromClause]) -> Dict[str, str]:
+    """Map each binding name (alias or table name, lower) to its base table."""
+    bindings: Dict[str, str] = {}
+    if clause is None:
+        return bindings
+    for source in clause.sources():
+        if isinstance(source, TableRef):
+            bindings[source.binding()] = source.name.lower()
+        elif isinstance(source, SubqueryTable) and source.alias:
+            bindings[source.alias.lower()] = source.alias.lower()
+    return bindings
+
+
+def resolve_aliases(query: Query) -> Query:
+    """Return an equivalent query with table aliases resolved away.
+
+    Column qualifiers that reference an alias are rewritten to the base table
+    name and lower-cased; alias declarations on base tables are dropped.
+    Aliases of derived tables (subqueries in FROM) are kept, since they are
+    the only way to reference those columns.
+    """
+    return _resolve_query(query)
+
+
+def _resolve_query(query: Query) -> Query:
+    core = _resolve_core(query.core)
+    set_query = _resolve_query(query.set_query) if query.set_query else None
+    return Query(core=core, set_op=query.set_op, set_query=set_query)
+
+
+def _resolve_core(core: SelectCore) -> SelectCore:
+    bindings = _binding_map(core.from_clause)
+    # In a single-table query every qualifier is redundant; dropping it makes
+    # "SELECT T1.name FROM singer AS T1" equal to "SELECT name FROM singer".
+    sole_table = None
+    if core.from_clause is not None:
+        sources = core.from_clause.sources()
+        if len(sources) == 1 and isinstance(sources[0], TableRef):
+            sole_table = sources[0].name.lower()
+
+    def fix_expr(expr: Expr) -> Expr:
+        if isinstance(expr, ColumnRef):
+            table = expr.table.lower() if expr.table else None
+            if table is not None:
+                table = bindings.get(table, table)
+            if sole_table is not None and table == sole_table:
+                table = None
+            return ColumnRef(column=expr.column.lower() if expr.column != "*" else "*",
+                             table=table)
+        if isinstance(expr, FuncCall):
+            return FuncCall(name=expr.name, arg=fix_expr(expr.arg),
+                            distinct=expr.distinct)
+        if isinstance(expr, BinaryExpr):
+            return BinaryExpr(op=expr.op, left=fix_expr(expr.left),
+                              right=fix_expr(expr.right))
+        if isinstance(expr, CaseExpr):
+            whens = tuple(
+                (fix_condition(cond), fix_expr(value))
+                for cond, value in expr.whens
+            )
+            else_value = fix_expr(expr.else_) if expr.else_ is not None else None
+            return CaseExpr(whens=whens, else_=else_value)
+        return expr
+
+    def fix_operand(value: Union[Expr, Query]) -> Union[Expr, Query]:
+        if isinstance(value, Query):
+            return _resolve_query(value)
+        return fix_expr(value)
+
+    def fix_condition(cond: Optional[Condition]) -> Optional[Condition]:
+        if cond is None:
+            return None
+        if isinstance(cond, Comparison):
+            return Comparison(op=cond.op, left=fix_expr(cond.left),
+                              right=fix_operand(cond.right))
+        if isinstance(cond, InCondition):
+            values = (_resolve_query(cond.values)
+                      if isinstance(cond.values, Query) else cond.values)
+            return InCondition(expr=fix_expr(cond.expr), values=values,
+                               negated=cond.negated)
+        if isinstance(cond, LikeCondition):
+            return LikeCondition(expr=fix_expr(cond.expr), pattern=cond.pattern,
+                                 negated=cond.negated)
+        if isinstance(cond, BetweenCondition):
+            return BetweenCondition(expr=fix_expr(cond.expr),
+                                    low=fix_operand(cond.low),
+                                    high=fix_operand(cond.high),
+                                    negated=cond.negated)
+        if isinstance(cond, IsNullCondition):
+            return IsNullCondition(expr=fix_expr(cond.expr), negated=cond.negated)
+        if isinstance(cond, ExistsCondition):
+            return ExistsCondition(query=_resolve_query(cond.query),
+                                   negated=cond.negated)
+        if isinstance(cond, NotCondition):
+            fixed = fix_condition(cond.operand)
+            assert fixed is not None
+            return NotCondition(operand=fixed)
+        if isinstance(cond, AndCondition):
+            return AndCondition(operands=tuple(
+                fix_condition(op) for op in cond.operands))  # type: ignore[misc]
+        if isinstance(cond, OrCondition):
+            return OrCondition(operands=tuple(
+                fix_condition(op) for op in cond.operands))  # type: ignore[misc]
+        raise TypeError(f"not a condition: {cond!r}")
+
+    from_clause = None
+    if core.from_clause is not None:
+        def fix_source(source: TableSource) -> TableSource:
+            if isinstance(source, TableRef):
+                return TableRef(name=source.name.lower(), alias=None)
+            return SubqueryTable(query=_resolve_query(source.query),
+                                 alias=source.alias.lower() if source.alias else None)
+
+        joins = tuple(
+            Join(source=fix_source(j.source), condition=fix_condition(j.condition),
+                 kind=j.kind, using=tuple(c.lower() for c in j.using))
+            for j in core.from_clause.joins
+        )
+        from_clause = FromClause(source=fix_source(core.from_clause.source),
+                                 joins=joins)
+
+    return SelectCore(
+        items=tuple(
+            SelectItem(expr=fix_expr(item.expr),
+                       alias=item.alias.lower() if item.alias else None)
+            for item in core.items
+        ),
+        from_clause=from_clause,
+        where=fix_condition(core.where),
+        group_by=tuple(fix_expr(e) for e in core.group_by),
+        having=fix_condition(core.having),
+        order_by=tuple(
+            OrderItem(expr=fix_expr(o.expr), direction=o.direction)
+            for o in core.order_by
+        ),
+        limit=core.limit,
+        distinct=core.distinct,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.dail_sql import DailSQL
+from repro.dataset.spider import SpiderDataset
+from repro.db.sqlite_backend import Database
+from repro.llm.interface import GenerationResult
 from repro.llm.simulated import make_llm
+from repro.selection.strategies import DailSelection
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,67 @@ class TestSelfConsistency:
         schema = corpus.dev.schema(example.db_id)
         result = pipeline.generate_sql(schema, example.question)
         assert len(result.samples) == 1
+
+
+class ScriptedLLM:
+    """Answers each sample tag from a script (a default otherwise)."""
+
+    model_id = "scripted"
+
+    def __init__(self, answers, default):
+        self.answers = answers
+        self.default = default
+
+    def generate(self, prompt, sample_tag=""):
+        text = self.answers.get(sample_tag, self.default)
+        return GenerationResult(text, prompt.token_count, 8, self.model_id)
+
+
+class TestCustomSchema:
+    QUESTION = "How many singers from France gave a concert with attendance above 400?"
+
+    def test_target_question_masked_by_its_own_linker(
+        self, corpus, oracle, toy_schema
+    ):
+        """A schema outside the candidate pool is masked with its own
+        linker, exactly as a sweep masks its evaluation split."""
+        pipeline = DailSQL(make_llm("gpt-4", oracle), corpus.train, k=4)
+        result = pipeline.generate_sql(toy_schema, self.QUESTION)
+        target = SpiderDataset([], [toy_schema])
+        linker = target.linker(toy_schema.db_id)
+        assert linker.mask_question(self.QUESTION) != self.QUESTION
+        reference = DailSelection(corpus.train)
+        reference.set_target_dataset(target)
+        expected = reference.select(
+            self.QUESTION, toy_schema.db_id, 4,
+            predicted_sql=result.preliminary_sql,
+        )
+        assert [(b.question, b.sql) for b in result.prompt.examples] == [
+            (b.question, b.sql) for b in expected
+        ]
+
+    def test_fatal_sample_never_executes(self, corpus, toy_schema, toy_rows):
+        fatal = "SELECT nickname FROM singer"
+        llm = ScriptedLLM(
+            {"sc-0": fatal, "sc-3": fatal}, "SELECT count(*) FROM singer"
+        )
+        pipeline = DailSQL(llm, corpus.train, k=3, n_samples=5)
+        executed = []
+        with Database.build(toy_schema, toy_rows) as database:
+            execute = database.execute
+
+            def spy(sql, *args, **kwargs):
+                executed.append(sql)
+                return execute(sql, *args, **kwargs)
+
+            database.execute = spy
+            result = pipeline.generate_sql(
+                toy_schema, self.QUESTION, database=database
+            )
+        assert result.samples.count(fatal) == 2 and len(result.samples) == 5
+        assert result.sql == "SELECT count(*) FROM singer"
+        assert result.raw_output == fatal
+        assert executed and fatal not in executed
 
 
 class TestAccuracy:

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.core.rule_parser import RuleBasedParser
+from repro.sql.canonical import resolve_aliases
 from repro.sql.parser import parse
-from repro.sql.normalize import queries_equal
+
+
+def same_query(a, b):
+    """Equal after alias resolution and case folding."""
+    return resolve_aliases(parse(a)) == resolve_aliases(parse(b))
 
 
 @pytest.fixture()
@@ -15,7 +20,7 @@ def parser(toy_schema):
 class TestIntents:
     def test_count(self, parser):
         result = parser.parse("How many singers are there?")
-        assert queries_equal(result.sql, "SELECT count(*) FROM singer")
+        assert same_query(result.sql, "SELECT count(*) FROM singer")
 
     def test_count_phrase_variants(self, parser):
         for phrasing in ("Count the singers.", "What is the total number of singers?"):
@@ -24,15 +29,15 @@ class TestIntents:
 
     def test_average(self, parser):
         result = parser.parse("What is the average age of singers?")
-        assert queries_equal(result.sql, "SELECT avg(age) FROM singer")
+        assert same_query(result.sql, "SELECT avg(age) FROM singer")
 
     def test_max(self, parser):
         result = parser.parse("What is the highest age among singers?")
-        assert queries_equal(result.sql, "SELECT max(age) FROM singer")
+        assert same_query(result.sql, "SELECT max(age) FROM singer")
 
     def test_projection(self, parser):
         result = parser.parse("List the name of all singers.")
-        assert queries_equal(result.sql, "SELECT name FROM singer")
+        assert same_query(result.sql, "SELECT name FROM singer")
 
     def test_multi_column_projection(self, parser):
         result = parser.parse("Show the name and country of each singer.")
@@ -44,7 +49,7 @@ class TestIntents:
 class TestFilters:
     def test_numeric_greater(self, parser):
         result = parser.parse("List the name of singers whose age is greater than 30.")
-        assert queries_equal(
+        assert same_query(
             result.sql, "SELECT name FROM singer WHERE age > 30"
         )
 

@@ -82,4 +82,4 @@ class TestRun:
             RunConfig(model="gpt-4", selection="DAIL_S", k=3), limit=4
         )
         assert len(report) == 4
-        assert runner._preliminary  # cache populated
+        assert runner.cache.stage_entries("preliminary")  # cache populated

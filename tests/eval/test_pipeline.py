@@ -91,7 +91,7 @@ class TestArtifactSharing:
     def test_preliminary_compat_view(self, corpus):
         runner = fresh_runner(corpus)
         runner.run(DAIL, limit=3)
-        assert runner._preliminary  # back-compat: artifacts visible
+        assert runner.cache.stage_entries("preliminary")
 
     def test_self_consistency_samples_cached_individually(self, corpus):
         runner = fresh_runner(corpus)

@@ -10,8 +10,9 @@ from repro.llm.perturb import perturb_sql
 from repro.prompt.builder import PromptBuilder
 from repro.prompt.organization import ExampleBlock, get_organization
 from repro.prompt.representation import get_representation
-from repro.sql.normalize import normalize_sql
+from repro.sql.canonical import resolve_aliases
 from repro.sql.parser import parse
+from repro.sql.unparse import unparse
 
 
 class TestExactMatchProperties:
@@ -21,7 +22,8 @@ class TestExactMatchProperties:
 
     def test_invariant_under_normalisation(self, corpus):
         for example in corpus.dev.examples[:40]:
-            assert exact_match(example.query, normalize_sql(example.query))
+            resolved = unparse(resolve_aliases(parse(example.query)))
+            assert exact_match(example.query, resolved)
 
     def test_symmetric_on_pairs(self, corpus):
         examples = corpus.dev.examples[:12]
@@ -98,8 +100,6 @@ class TestPromptBuilderProperties:
 class TestCorpusInvariants:
     def test_gold_roundtrip_and_em(self, corpus):
         """Parse → unparse → exact-match, corpus-wide."""
-        from repro.sql.unparse import unparse
-
         for example in corpus.train.examples[:60]:
             rendered = unparse(parse(example.query))
             assert exact_match(example.query, rendered)

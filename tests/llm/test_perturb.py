@@ -9,7 +9,7 @@ from repro.llm.perturb import (
     equivalent_rewrite,
     perturb_sql,
 )
-from repro.sql.normalize import queries_equal
+from repro.sql.canonical import resolve_aliases
 from repro.sql.parser import parse, try_parse
 
 
@@ -24,7 +24,10 @@ class TestPerturbSql:
     def test_output_differs_from_gold(self, toy_schema):
         for seed in range(10):
             out = perturb_sql(self.GOLD, toy_schema, rng(seed), severity=0.5)
-            assert not queries_equal(self.GOLD, out) or out != self.GOLD
+            assert (
+                resolve_aliases(parse(self.GOLD)) != resolve_aliases(parse(out))
+                or out != self.GOLD
+            )
 
     def test_low_severity_output_parses(self, toy_schema):
         for seed in range(10):

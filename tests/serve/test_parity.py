@@ -1,9 +1,11 @@
-"""serve == batch: ``/v1/generate`` returns the SQL a sweep records.
+"""serve == batch == ask: every surface returns the SQL a sweep records.
 
 For every dev question, a service over its own runner and cache must
 return exactly the sweep record's ``predicted_sql`` under the same
-config, ``n_samples`` and ``feedback_rounds`` — both surfaces run the
-one candidate search (:mod:`repro.eval.candidates`).
+config, ``n_samples`` and ``feedback_rounds``, and ``DailSQL`` (what
+``dail-sql ask`` runs) must match a DAIL sweep's SQL and prompt size —
+all three surfaces run the one candidate search
+(:mod:`repro.eval.candidates`).
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ import pytest
 
 from repro.api.wire import GenerateRequest
 from repro.core.baselines import leaderboard_entries
+from repro.core.dail_sql import DailSQL
 from repro.eval.engine import EvalEngine
 from repro.eval.harness import BenchmarkRunner, RunConfig
+from repro.llm.oracle import GoldOracle
+from repro.llm.simulated import make_llm
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import SqlService
 from repro.serve.ratelimit import RateLimiter
@@ -62,5 +67,35 @@ def test_served_sql_equals_sweep_sql(corpus, name, samples, rounds):
     assert len(report.records) == len(corpus.dev.examples)
     assert not mismatches, (
         f"{len(mismatches)}/{len(report.records)} served != batch: "
+        f"{mismatches[:3]}"
+    )
+
+
+@pytest.mark.parametrize("samples", (1, 5))
+def test_asked_sql_equals_sweep_sql(corpus, samples):
+    config = CONFIGS["dail"]
+    pool = corpus.pool()
+    report = EvalEngine(runner_for(corpus, 0)).run(config, n_samples=samples)
+    ask = DailSQL(
+        make_llm(config.model, GoldOracle(corpus.dev, corpus.train)),
+        corpus.train, k=config.k, max_tokens=config.max_tokens,
+        n_samples=samples,
+    )
+    mismatches = []
+    for record in report.records:
+        asked = ask.generate_sql(
+            corpus.dev.schema(record.db_id), record.question,
+            database=pool.get(record.db_id),
+        )
+        if (asked.sql, asked.prompt_tokens) != (
+            record.predicted_sql, record.prompt_tokens
+        ):
+            mismatches.append((
+                record.example_id, asked.sql, record.predicted_sql,
+                asked.prompt_tokens, record.prompt_tokens,
+            ))
+    assert len(report.records) == len(corpus.dev.examples)
+    assert not mismatches, (
+        f"{len(mismatches)}/{len(report.records)} asked != batch: "
         f"{mismatches[:3]}"
     )

@@ -345,7 +345,7 @@ class TestUsingJoins:
         assert parse(unparse(parse(sql))) == parse(sql)
 
     def test_normalize_lowercases_using(self):
-        from repro.sql.normalize import resolve_aliases
+        from repro.sql.canonical import resolve_aliases
 
         query = parse("SELECT a FROM t JOIN u USING (ID)")
         resolved = resolve_aliases(query)
