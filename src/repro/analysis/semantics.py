@@ -43,11 +43,9 @@ from ..sql.ast_nodes import (
     IsNullCondition,
     LikeCondition,
     Literal,
-    NotCondition,
     OrCondition,
     Query,
     SelectCore,
-    SubqueryTable,
     TableRef,
 )
 from ..sql.canonical import canonicalize, canonicalize_condition

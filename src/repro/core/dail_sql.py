@@ -25,8 +25,8 @@ benchmark ships and any real API client a downstream user plugs in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..cache.store import ArtifactCache
 from ..dataset.spider import SpiderDataset
@@ -38,6 +38,7 @@ from ..llm.interface import LLMClient
 from ..prompt.builder import Prompt
 from ..schema.model import DatabaseSchema
 from ..selection.strategies import DailSelection
+from ..sql.parser import parse_scope
 
 
 @dataclass
@@ -104,22 +105,35 @@ class DailSQL:
             ),
             llm, self._selection, n_samples,
         )
+        self._targets: Dict[DatabaseSchema, Tuple[SpiderDataset, RunPlan]] = {}
+
+    def _target(
+        self, schema: DatabaseSchema
+    ) -> Tuple[SpiderDataset, RunPlan]:
+        """``schema`` as a dataset, and the plan whose selection masks
+        questions with that schema's linker — built once per schema, and
+        never mutated, so concurrent calls cannot see each other's."""
+        target = self._targets.get(schema)
+        if target is None:
+            dataset = SpiderDataset([], [schema])
+            plan = replace(
+                self.plan, strategy=self._selection.for_target(dataset)
+            )
+            target = self._targets.setdefault(schema, (dataset, plan))
+        return target
 
     def _pipeline(
-        self, schema: DatabaseSchema, database: Optional[Database]
+        self, dataset: SpiderDataset, database: Optional[Database]
     ) -> EvalPipeline:
-        """One call's pipeline: ``schema`` is its dataset — and the
-        selection masks the question with that schema's linker."""
-        target = SpiderDataset([], [schema])
-        self._selection.set_target_dataset(target)
         return EvalPipeline(
-            target, self.candidates, _BoundPool(database), ArtifactCache()
+            dataset, self.candidates, _BoundPool(database), ArtifactCache()
         )
 
     def preliminary_sql(self, schema: DatabaseSchema, question: str) -> str:
         """Zero-shot prediction whose skeleton guides example selection."""
-        return self._pipeline(schema, None).preliminary_sql(
-            self.plan, question, schema.db_id
+        dataset, plan = self._target(schema)
+        return self._pipeline(dataset, None).preliminary_sql(
+            plan, question, schema.db_id
         )
 
     def generate_sql(
@@ -135,15 +149,17 @@ class DailSQL:
         votes as an error and never executes); without it, the first
         sample wins.
         """
-        pipeline = self._pipeline(schema, database)
-        preliminary = pipeline.preliminary_sql(self.plan, question, schema.db_id)
-        blocks = pipeline.selection_blocks(self.plan, question, schema.db_id)
-        prompt = self.plan.builder.build(schema, question, blocks)
-        result = search(
-            pipeline, self.llm, prompt, schema.db_id,
-            n_samples=self.n_samples if database is not None else 1,
-            execute=False,
-        )
+        dataset, plan = self._target(schema)
+        pipeline = self._pipeline(dataset, database)
+        with parse_scope():
+            preliminary = pipeline.preliminary_sql(plan, question, schema.db_id)
+            blocks = pipeline.selection_blocks(plan, question, schema.db_id)
+            prompt = plan.builder.build(schema, question, blocks)
+            result = search(
+                pipeline, self.llm, prompt, schema.db_id,
+                n_samples=self.n_samples if database is not None else 1,
+                execute=False,
+            )
         return DailSQLResult(
             sql=result.winner.predicted_sql,
             raw_output=result.winner.raw_output,

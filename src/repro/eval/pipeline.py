@@ -81,6 +81,7 @@ from ..repair.taxonomy import classify_execution_error
 from ..selection.strategies import DailSelection
 from ..sql.canonical import canonical_fingerprint
 from ..sql.dialect import REFERENCE_DIALECT
+from ..sql.parser import parse_scope
 from ..sql.transpile import transpile
 from .candidates import search
 from .exact_match import exact_match
@@ -399,15 +400,20 @@ class EvalPipeline:
     def run(self, example: Example, plan, collector=NULL_COLLECTOR) -> PredictionRecord:
         """Evaluate one example under one plan (thread-safe).
 
+        The example runs in one :func:`~repro.sql.parser.parse_scope`, so
+        each distinct SQL string is parsed once across its stages.
+
         Raises:
             Exception: whatever a stage raises; the engine isolates it
                 into an errored record.
         """
         state: State = {"example": example, "plan": plan}
-        for stage in self.stages:
-            timer = collector.stage(stage.name) if stage.timed else nullcontext()
-            with timer:
-                stage.run(state, collector)
+        with parse_scope():
+            for stage in self.stages:
+                timer = (collector.stage(stage.name) if stage.timed
+                         else nullcontext())
+                with timer:
+                    stage.run(state, collector)
         return state["record"]
 
     # -- cached artifact accessors -------------------------------------------

@@ -12,7 +12,7 @@ layout.  Budget truncation therefore drops from the *front*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..errors import PromptError

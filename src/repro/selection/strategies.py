@@ -19,6 +19,7 @@ most similar adjacent to the target question).
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -194,6 +195,20 @@ class MaskedQuestionSimilaritySelection(_EmbeddingSelection):
         for db_id in dataset.schemas:
             self._target_linkers[db_id] = dataset.linker(db_id)
         self._target_fingerprint = dataset.fingerprint()
+
+    def for_target(
+        self, dataset: SpiderDataset
+    ) -> "MaskedQuestionSimilaritySelection":
+        """A copy of this strategy targeting ``dataset`` alone.
+
+        The copy shares the read-only candidate indexes and leaves this
+        strategy unchanged, so copies for different targets can rank
+        side by side on different threads.
+        """
+        view = copy.copy(self)
+        view._target_linkers = {}
+        view.set_target_dataset(dataset)
+        return view
 
     def _target_text(self, question: str, db_id: str) -> str:
         return self.mask_target(question, db_id)

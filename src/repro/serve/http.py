@@ -121,6 +121,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "SqlServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body are separate writes; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK (~40 ms per response).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 

@@ -55,6 +55,7 @@ from ..obs.trace import build_tracer
 from ..prompt.builder import Prompt
 from ..prompt.organization import ExampleBlock
 from ..resilience.breaker import CircuitBreaker
+from ..sql.parser import parse_scope
 from ..sql.transpile import transpile
 from .coalesce import CoalescingClient, GenerateCoalescer
 from .ratelimit import RateLimiter
@@ -218,11 +219,13 @@ class SqlService:
     ) -> Iterator[None]:
         """Everything ambient about one request, in order: the tenant's
         rate-limit token, the context labels cost samples are stamped
-        with (tenant + request id), and the root ``request`` span the
-        per-stage and coalesce spans hang off — the tree
+        with (tenant + request id), the request's
+        :func:`~repro.sql.parser.parse_scope`, and the root ``request``
+        span the per-stage and coalesce spans hang off — the tree
         ``dail-sql trace correlate`` reconstructs."""
         self.limiter.acquire(request.tenant, request_id=request_id)
-        with obs_context.bind(tenant=request.tenant, request_id=request_id):
+        with obs_context.bind(tenant=request.tenant,
+                              request_id=request_id), parse_scope():
             if not self.tracer.enabled:
                 yield
                 return

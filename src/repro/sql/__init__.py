@@ -50,7 +50,7 @@ from .dialect import (
     register_dialect,
 )
 from .hardness import HARDNESS_LEVELS, hardness
-from .parser import parse, try_parse
+from .parser import parse, parse_scope, try_parse
 from .skeleton import (
     query_signature,
     skeleton_similarity,
@@ -73,8 +73,8 @@ __all__ = [
     "Literal", "NotCondition", "OrCondition", "OrderItem", "Query",
     "SelectCore", "SelectItem", "SubqueryTable", "TableRef",
     "iter_column_refs", "iter_conditions", "iter_subqueries",
-    "HARDNESS_LEVELS", "hardness", "parse", "try_parse", "query_signature",
-    "skeleton_similarity", "skeleton_tokens", "sql_skeleton",
+    "HARDNESS_LEVELS", "hardness", "parse", "parse_scope", "try_parse",
+    "query_signature", "skeleton_similarity", "skeleton_tokens", "sql_skeleton",
     "Token", "TokenType", "tokenize", "unparse",
     "DialectProfile", "REFERENCE_DIALECT", "dialect_names", "get_dialect",
     "reference_dialect", "register_dialect", "normalize_to_reference",

@@ -77,7 +77,7 @@ from .ast_nodes import (
     TableSource,
     iter_conditions,
 )
-from .parser import parse, try_parse
+from .parser import parse, scope_memo, try_parse
 from .unparse import condition_text, unparse
 
 _VALUE_MASK = "value"
@@ -463,8 +463,25 @@ def canonical_fingerprint(
     Returns ``None`` when the SQL does not parse.  Canonicalization is
     pure AST surgery and must never take an evaluation down with it, so
     any internal failure also degrades to ``None`` (the caller falls
-    back to treating the query as its own class).
+    back to treating the query as its own class).  Inside a
+    :func:`~repro.sql.parser.parse_scope`, text inputs are memoised per
+    (text, schema) for the rest of the scope.
     """
+    memo = scope_memo() if isinstance(sql, str) else None
+    if memo is None:
+        return _fingerprint(sql, schema)
+    # Keyed on the schema's identity; the entry holds the schema, so the
+    # id cannot be reused by another object while the scope lives.
+    key = (sql, id(schema))
+    entry = memo.fingerprints.get(key)
+    if entry is None:
+        entry = memo.fingerprints[key] = (schema, _fingerprint(sql, schema))
+    return entry[1]
+
+
+def _fingerprint(
+    sql: Union[str, Query], schema: Optional[DatabaseSchema]
+) -> Optional[str]:
     query = try_parse(sql) if isinstance(sql, str) else sql
     if query is None:
         return None

@@ -39,7 +39,9 @@ condition, matching how Spider corpora mix both styles.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import SQLSyntaxError
 from .ast_nodes import (
@@ -523,14 +525,92 @@ class _Parser:
         raise self._error("expected literal")
 
 
+class _Failure:
+    """A memoised syntax error: enough to raise an equal one again,
+    without keeping the original exception's traceback frames alive."""
+
+    __slots__ = ("message", "sql", "position")
+
+    def __init__(self, error: SQLSyntaxError):
+        self.message = str(error)
+        self.sql = error.sql
+        self.position = error.position
+
+
+class ScopeMemo:
+    """One parse scope's results: ASTs (or failures) per SQL string, and
+    canonical fingerprints per (SQL string, schema identity)."""
+
+    __slots__ = ("parses", "fingerprints")
+
+    def __init__(self) -> None:
+        self.parses: Dict[str, Union[Query, _Failure]] = {}
+        self.fingerprints: Dict[Tuple[str, int], Tuple[object, Optional[str]]] = {}
+
+
+class _ScopeLocal(threading.local):
+    memo: Optional[ScopeMemo] = None
+
+
+_scope = _ScopeLocal()
+
+
+@contextmanager
+def parse_scope() -> Iterator[None]:
+    """Memoise parses on this thread until the block exits.
+
+    Inside the scope :func:`parse` parses each distinct string once and
+    returns the same (frozen) AST to every later caller; a string that
+    failed to parse raises a fresh, equal :class:`SQLSyntaxError` on each
+    later call.  :func:`~repro.sql.canonical.canonical_fingerprint` keeps
+    its results in the same memo.  The memo is dropped when the outermost
+    scope exits — a nested scope joins the enclosing one — so no result
+    outlives the example or request that opened the scope.  Outside any
+    scope nothing is memoised.
+    """
+    if _scope.memo is not None:
+        yield
+        return
+    _scope.memo = ScopeMemo()
+    try:
+        yield
+    finally:
+        _scope.memo = None
+
+
+def scope_memo() -> Optional[ScopeMemo]:
+    """The open parse scope's memo on this thread, or ``None``."""
+    return _scope.memo
+
+
 def parse(sql: str) -> Query:
     """Parse SQL text into a :class:`~repro.sql.ast_nodes.Query`.
+
+    Inside a :func:`parse_scope` the result (or the syntax error) is
+    memoised per string for the rest of the scope.
 
     Raises:
         SQLSyntaxError: if the text is not a single valid query in the
             Spider SQL subset (trailing tokens beyond an optional ``;`` are
             rejected).
     """
+    memo = _scope.memo
+    if memo is None:
+        return _parse(sql)
+    entry = memo.parses.get(sql)
+    if entry is None:
+        try:
+            entry = memo.parses[sql] = _parse(sql)
+        except SQLSyntaxError as error:
+            memo.parses[sql] = _Failure(error)
+            raise
+    if isinstance(entry, _Failure):
+        raise SQLSyntaxError(entry.message, sql=entry.sql,
+                             position=entry.position)
+    return entry
+
+
+def _parse(sql: str) -> Query:
     tokens = tokenize(sql)
     parser = _Parser(tokens, sql)
     query = parser.parse_query()

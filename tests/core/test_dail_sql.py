@@ -7,6 +7,7 @@ from repro.dataset.spider import SpiderDataset
 from repro.db.sqlite_backend import Database
 from repro.llm.interface import GenerationResult
 from repro.llm.simulated import make_llm
+from repro.schema.model import Column, DatabaseSchema, Table
 from repro.selection.strategies import DailSelection
 
 
@@ -136,6 +137,67 @@ class TestCustomSchema:
         assert result.sql == "SELECT count(*) FROM singer"
         assert result.raw_output == fatal
         assert executed and fatal not in executed
+
+
+class InterleavingLLM:
+    """Delegates to a model; during the first preliminary call it runs
+    another ask on the same pipeline — an ask that lands between this
+    call's target setup and its selection, as a concurrent one can."""
+
+    def __init__(self, llm):
+        self.llm = llm
+        self.model_id = llm.model_id
+        self.interleave = None
+
+    def fingerprint(self):
+        return self.llm.fingerprint()
+
+    def generate(self, prompt, sample_tag=""):
+        if sample_tag == "preliminary" and self.interleave is not None:
+            interleave, self.interleave = self.interleave, None
+            interleave()
+        return self.llm.generate(prompt, sample_tag=sample_tag)
+
+
+class TestTargetIsolation:
+    QUESTION = TestCustomSchema.QUESTION
+
+    @staticmethod
+    def other_schema(db_id):
+        """A different schema under the same ``db_id``."""
+        return DatabaseSchema(db_id=db_id, tables=(Table(
+            name="gadget",
+            columns=(Column("gadget_id", "number", is_integer=True),
+                     Column("label", "text")),
+            primary_key="gadget_id",
+        ),))
+
+    @staticmethod
+    def summary(result):
+        return (result.sql, result.prompt.text,
+                [(b.question, b.sql) for b in result.prompt.examples])
+
+    def test_interleaved_ask_uses_its_own_schema(
+        self, corpus, oracle, toy_schema
+    ):
+        alone = DailSQL(make_llm("gpt-4", oracle), corpus.train, k=4)
+        expected = self.summary(alone.generate_sql(toy_schema, self.QUESTION))
+
+        llm = InterleavingLLM(make_llm("gpt-4", oracle))
+        pipeline = DailSQL(llm, corpus.train, k=4)
+        other = self.other_schema(toy_schema.db_id)
+        llm.interleave = lambda: pipeline.generate_sql(other, self.QUESTION)
+        result = pipeline.generate_sql(toy_schema, self.QUESTION)
+        assert llm.interleave is None  # the other ask did run
+        assert self.summary(result) == expected
+
+    def test_target_built_once_per_schema(self, corpus, oracle, toy_schema):
+        pipeline = DailSQL(make_llm("gpt-4", oracle), corpus.train, k=2)
+        pipeline.generate_sql(toy_schema, self.QUESTION)
+        first = pipeline._target(toy_schema)
+        pipeline.generate_sql(toy_schema, "How many concerts are there?")
+        assert pipeline._target(toy_schema) is first
+        assert pipeline._selection._target_linkers == {}
 
 
 class TestAccuracy:

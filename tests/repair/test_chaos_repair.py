@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, replace
 
-import pytest
-
 from repro.errors import ModelError
 from repro.eval.engine import GridRunner
 from repro.eval.harness import BenchmarkRunner, RunConfig

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -13,6 +17,7 @@ import pytest
 from repro.eval.harness import BenchmarkRunner
 from repro.obs.metrics import MetricsRegistry, parse_prometheus
 from repro.serve import SqlServer, SqlService
+from repro.serve.http import _Handler
 from repro.serve.ratelimit import RateLimiter
 from repro.resilience.breaker import CircuitBreaker
 
@@ -196,6 +201,45 @@ class TestStatusMapping:
             })
             assert status == 503
             assert payload["error"] == "circuit_open"
+
+
+class TestSocket:
+    """Each response leaves as soon as it is written: headers and body
+    are separate writes, and with Nagle's algorithm on the body waits
+    for the client's delayed ACK of the headers (~40 ms on Linux)."""
+
+    PATHS = ("/healthz", "/metrics")
+
+    def test_accepted_sockets_set_tcp_nodelay(self, base, monkeypatch):
+        seen = []
+        setup = _Handler.setup
+
+        def spy(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(_Handler, "setup", spy)
+        for path in self.PATHS:
+            assert get(base, path)[0] == 200
+        assert len(seen) == len(self.PATHS) and all(seen)
+
+    def test_kept_alive_requests_do_not_stall(self, server):
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        elapsed = []
+        try:
+            for index in range(20):
+                started = time.perf_counter()
+                connection.request("GET", self.PATHS[index % 2])
+                response = connection.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(elapsed) < 0.02, elapsed
 
 
 class TestDeterminism:

@@ -10,10 +10,7 @@ server under concurrent load).
 
 from __future__ import annotations
 
-import json
 import threading
-
-import pytest
 
 from repro.eval.harness import BenchmarkRunner
 from repro.obs import tracefile
