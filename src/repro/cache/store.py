@@ -28,10 +28,13 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from .keys import CACHE_SCHEMA_VERSION, stable_digest
 from .lru import LRUCache
+
+if TYPE_CHECKING:
+    from ..obs.metrics import CounterSeries
 
 #: Environment variable naming the disk-tier directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -262,6 +265,8 @@ class ArtifactCache:
         self._backends: set = set()
         # Optional MetricsRegistry; the engine attaches the run registry.
         self._metrics = None
+        # Its tier-event counters, bound per (stage, event) on first use.
+        self._event_series: Dict[Tuple[str, str], "CounterSeries"] = {}
 
     def annotate_backend(self, name: str) -> None:
         """Label this cache with an execution-backend name (flushed to
@@ -279,17 +284,23 @@ class ArtifactCache:
         """Attach a metrics registry recording per-tier cache events
         (forwarded to the disk tier for quarantine/fault counters)."""
         self._metrics = registry
+        self._event_series = {}
         if self.disk is not None and hasattr(self.disk, "set_metrics"):
             self.disk.set_metrics(registry)
 
     def _count_event(self, stage: str, event: str, count: int = 1) -> None:
         if self._metrics is None or count == 0:
             return
-        from ..obs.metrics import M_CACHE_TIER
+        series = self._event_series.get((stage, event))
+        if series is None:
+            from ..obs.metrics import M_CACHE_TIER
 
-        self._metrics.counter_add(
-            M_CACHE_TIER, count, {"stage": stage, "event": event}
-        )
+            series = self._event_series[(stage, event)] = (
+                self._metrics.bind_counter(
+                    M_CACHE_TIER, {"stage": stage, "event": event}
+                )
+            )
+        series.add(count)
 
     @property
     def disk_dir(self) -> Optional[Path]:

@@ -27,9 +27,9 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..obs import context as obs_context
 from ..obs.cost import CostMeter
@@ -48,6 +48,8 @@ from ..obs.metrics import (
     M_SEMANTIC_DEDUP,
     M_STAGE_LATENCY,
     M_STAGE_SECONDS,
+    CounterSeries,
+    HistogramSeries,
     MetricsRegistry,
 )
 from ..obs.trace import NULL_TRACER
@@ -192,14 +194,55 @@ class ProgressEvent:
     error: str = ""
 
 
-class _StageFrame:
-    """One open stage timer on a thread's stage stack."""
+class _StageTimer:
+    """One stage timing: the context manager :meth:`TelemetryCollector.stage`
+    returns, and while open the frame on its thread's stage stack.
 
-    __slots__ = ("child_s", "span")
+    Untraced, entering and leaving costs two clock reads, two stack
+    pushes and pops, and one sample on each of two series bound once
+    per stage name — no generator, no label dict, no label sort.
+    """
 
-    def __init__(self, span) -> None:
+    __slots__ = (
+        "_collector", "_name", "_bound", "_stack", "_context", "_start",
+        "_span_cm", "span", "child_s",
+    )
+
+    def __init__(self, collector: "TelemetryCollector", name: str) -> None:
+        self._collector = collector
+        self._name = name
+        self._bound = collector._stage_bound(name)
+        self._span_cm = None
+        self.span = None
         self.child_s = 0.0
-        self.span = span
+
+    def __enter__(self) -> None:
+        collector = self._collector
+        if collector.tracer.enabled:
+            self._span_cm = collector._stage_span(self._name)
+            self.span = self._span_cm.__enter__()
+        self._stack = collector._stack()
+        self._stack.append(self)
+        # Bind the stage into the ambient context so token/cost samples
+        # recorded while it is open carry a ``stage`` label.
+        self._context = obs_context.frames()
+        self._context.append(self._bound[0])
+        self._start = time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        elapsed = time.perf_counter() - self._start
+        self._context.pop()
+        stack = self._stack
+        stack.pop()
+        if stack:
+            stack[-1].child_s += elapsed
+        exclusive = max(elapsed - self.child_s, 0.0)
+        _, seconds, latency = self._bound
+        seconds.add(exclusive)
+        latency.observe(elapsed)
+        if self._span_cm is not None:
+            self.span.set("excl_s", exclusive)
+            self._span_cm.__exit__(None, None, None)
 
 
 class TelemetryCollector:
@@ -237,6 +280,15 @@ class TelemetryCollector:
         self.tracer = tracer
         self.cost_meter = CostMeter(self.registry)
         self._local = threading.local()
+        #: Series bound on first use, so a hot-path sample never merges
+        #: or sorts labels: per stage name its context frame and two
+        #: timing series; per (metric, extra label pairs) one counter.
+        self._stages: Dict[
+            str, Tuple[Dict[str, str], CounterSeries, HistogramSeries]
+        ] = {}
+        self._counters: Dict[
+            Tuple[str, Tuple[Tuple[str, str], ...]], CounterSeries
+        ] = {}
 
     # -- per-thread state ------------------------------------------------------
 
@@ -248,6 +300,44 @@ class TelemetryCollector:
 
     def _example_id(self) -> str:
         return getattr(self._local, "example_id", "")
+
+    # -- bound series ----------------------------------------------------------
+
+    def _stage_bound(
+        self, name: str
+    ) -> Tuple[Dict[str, str], CounterSeries, HistogramSeries]:
+        bound = self._stages.get(name)
+        if bound is None:
+            bound = self._stages[name] = (
+                {"stage": str(name)} if name else {},  # as bind(stage=name)
+                self.registry.bind_counter(
+                    M_STAGE_SECONDS, {**self.labels, "stage": name}
+                ),
+                self.registry.bind_histogram(
+                    M_STAGE_LATENCY, {"stage": name}, buckets=LATENCY_BUCKETS
+                ),
+            )
+        return bound
+
+    def _counter(self, name: str, *pairs: Tuple[str, str]) -> CounterSeries:
+        """The counter ``name`` under this collector's labels plus ``pairs``."""
+        series = self._counters.get((name, pairs))
+        if series is None:
+            series = self._counters[(name, pairs)] = self.registry.bind_counter(
+                name, {**self.labels, **dict(pairs)}
+            )
+        return series
+
+    def _stage_span(self, name: str):
+        """The (unentered) ``stage`` span context of a traced timing."""
+        attrs = dict(self.labels)
+        example_id = self._example_id()
+        if example_id:
+            attrs["example"] = example_id
+        request_id = obs_context.current_request_id()
+        if request_id:
+            attrs["request"] = request_id
+        return self.tracer.span("stage", name, **attrs)
 
     # -- instrumentation hooks -------------------------------------------------
 
@@ -272,8 +362,7 @@ class TelemetryCollector:
         finally:
             self._local.example_id = ""
 
-    @contextmanager
-    def stage(self, name: str):
+    def stage(self, name: str) -> _StageTimer:
         """Time one pipeline stage; nestable and reentrant across threads.
 
         Nested timers attribute exclusively: the inner stage's elapsed
@@ -282,53 +371,13 @@ class TelemetryCollector:
         carrying the cell labels, the current example id, the exclusive
         time and any cache hit/miss counts recorded while it was open.
         """
-        tracing = self.tracer.enabled
-        span_cm = None
-        span = None
-        if tracing:
-            attrs = dict(self.labels)
-            example_id = self._example_id()
-            if example_id:
-                attrs["example"] = example_id
-            request_id = obs_context.current_request_id()
-            if request_id:
-                attrs["request"] = request_id
-            span_cm = self.tracer.span("stage", name, **attrs)
-            span = span_cm.__enter__()
-        stack = self._stack()
-        frame = _StageFrame(span)
-        stack.append(frame)
-        # Bind the stage into the ambient context so token/cost samples
-        # recorded while it is open carry a ``stage`` label.
-        ctx_cm = obs_context.bind(stage=name)
-        ctx_cm.__enter__()
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            ctx_cm.__exit__(None, None, None)
-            stack.pop()
-            if stack:
-                stack[-1].child_s += elapsed
-            exclusive = max(elapsed - frame.child_s, 0.0)
-            self.registry.counter_add(
-                M_STAGE_SECONDS, exclusive, {**self.labels, "stage": name}
-            )
-            self.registry.observe(
-                M_STAGE_LATENCY, elapsed, {"stage": name},
-                buckets=LATENCY_BUCKETS,
-            )
-            if tracing:
-                span.set("excl_s", exclusive)
-                span_cm.__exit__(None, None, None)
+        return _StageTimer(self, name)
 
     def record_cache(self, name: str, hit: bool) -> None:
         result = "hit" if hit else "miss"
-        self.registry.counter_add(
-            M_CACHE_REQUESTS, 1,
-            {**self.labels, "stage": name, "result": result},
-        )
+        self._counter(
+            M_CACHE_REQUESTS, ("stage", name), ("result", result)
+        ).add(1)
         stack = self._stack()
         if stack and stack[-1].span is not None:
             stack[-1].span.inc(f"cache_{name}_{result}")
@@ -344,25 +393,21 @@ class TelemetryCollector:
         collector's cell labels plus whatever attribution (tenant,
         backend, stage) is bound in the calling thread's context.
         """
-        context = obs_context.snapshot()
-        labels = dict(self.labels)
-        for key in obs_context.METRIC_LABEL_KEYS:
-            if key not in labels and context.get(key):
-                labels[key] = context[key]
+        labels = obs_context.snapshot()  # a fresh dict: the cell labels win
+        labels.update(self.labels)
         self.cost_meter.record(
             model_id, prompt_tokens, completion_tokens, labels=labels
         )
 
     def record_lint(self, rule: str, severity: str) -> None:
         """Count one analyzer diagnostic (``repro_lint_diagnostics_total``)."""
-        self.registry.counter_add(
-            M_LINT_DIAGNOSTICS, 1,
-            {**self.labels, "rule": rule, "severity": severity},
-        )
+        self._counter(
+            M_LINT_DIAGNOSTICS, ("rule", rule), ("severity", severity)
+        ).add(1)
 
     def record_short_circuit(self) -> None:
         """Count one execution skipped by a fatal lint diagnostic."""
-        self.registry.counter_add(M_LINT_SHORT_CIRCUIT, 1, self.labels)
+        self._counter(M_LINT_SHORT_CIRCUIT).add(1)
 
     def record_repair_round(self, outcome: str) -> None:
         """Count one feedback-repair round event
@@ -371,17 +416,14 @@ class TelemetryCollector:
         consumed, candidate still dead), ``transient`` (infrastructure
         fault — no round consumed), ``exhausted`` (one per example
         whose loop ended without recovery)."""
-        self.registry.counter_add(
-            M_REPAIR_ROUNDS, 1, {**self.labels, "outcome": outcome}
-        )
+        self._counter(M_REPAIR_ROUNDS, ("outcome", outcome)).add(1)
 
     def record_repair_recovered(self, error_class: str) -> None:
         """Count one repair-loop recovery, labelled by the error class
         that triggered the loop (``repro_repair_recovered_total``)."""
-        self.registry.counter_add(
-            M_REPAIR_RECOVERED, 1,
-            {**self.labels, "error_class": error_class or "unknown"},
-        )
+        self._counter(
+            M_REPAIR_RECOVERED, ("error_class", error_class or "unknown")
+        ).add(1)
 
     def record_semantic_dedup(self, context: str) -> None:
         """Count one execution skipped by equivalence-class dedup
@@ -389,15 +431,13 @@ class TelemetryCollector:
         (self-consistency sample shared a class with an earlier
         sample), ``repair`` (feedback regeneration canonicalized to a
         statement the loop already executed)."""
-        self.registry.counter_add(
-            M_SEMANTIC_DEDUP, 1, {**self.labels, "context": context}
-        )
+        self._counter(M_SEMANTIC_DEDUP, ("context", context)).add(1)
 
     def example_done(self, elapsed_s: float, error: bool = False) -> None:
-        self.registry.counter_add(M_BUSY_SECONDS, elapsed_s, self.labels)
-        self.registry.counter_add(M_EXAMPLES, 1, self.labels)
+        self._counter(M_BUSY_SECONDS).add(elapsed_s)
+        self._counter(M_EXAMPLES).add(1)
         if error:
-            self.registry.counter_add(M_ERRORS, 1, self.labels)
+            self._counter(M_ERRORS).add(1)
 
     # -- freezing --------------------------------------------------------------
 
@@ -508,9 +548,8 @@ class NullCollector(TelemetryCollector):
     def example(self, example_id: str, parent_id: Optional[str] = None, **attrs):
         yield _NULL_EXAMPLE_SPAN
 
-    @contextmanager
     def stage(self, name: str):
-        yield
+        return _NULL_STAGE
 
     def record_cache(self, name: str, hit: bool) -> None:
         pass
@@ -538,6 +577,9 @@ class NullCollector(TelemetryCollector):
     def example_done(self, elapsed_s: float, error: bool = False) -> None:
         pass
 
+
+#: Stateless, so one instance serves every untimed stage on any thread.
+_NULL_STAGE = nullcontext()
 
 #: Shared no-op instance; safe to use from any thread.
 NULL_COLLECTOR = NullCollector()

@@ -22,6 +22,7 @@ pound sign included) changes the draw — mirroring real prompt sensitivity.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -29,7 +30,7 @@ from ..dataset.spider import Example
 from ..prompt.builder import Prompt
 from ..prompt.organization import ExampleBlock
 from ..schema.linker import SchemaLinker
-from ..sql.hardness import hardness
+from ..schema.model import DatabaseSchema
 from ..sql.parser import try_parse
 from ..sql.skeleton import skeleton_similarity
 from ..tokenizer.counter import count_tokens
@@ -78,7 +79,18 @@ class SimulatedLLM:
         #: Optional MetricsRegistry; the engine attaches the run's registry
         #: so request latency and token histograms land in run metrics.
         self.metrics = None
-        self._linkers: Dict[str, SchemaLinker] = {}
+        #: Request/token histograms bound on :attr:`metrics`, as
+        #: ``(registry, series)`` — rebound when the engine attaches
+        #: another run's registry.
+        self._series: Optional[tuple] = None
+        #: One linker per distinct schema: two schemas may share a
+        #: ``db_id`` (a pruned or evolved copy) and link differently.
+        self._linkers: Dict[DatabaseSchema, SchemaLinker] = {}
+        #: Per-thread one-entry memo of the outcome model: the last
+        #: ``(prompt, probability)`` this thread scored.  It holds the
+        #: prompt itself, so the identity it is keyed on cannot be
+        #: reused by another prompt while the entry lives.
+        self._outcome = threading.local()
         self._fingerprint: Optional[str] = None
 
     @property
@@ -121,8 +133,20 @@ class SimulatedLLM:
         """P(correct SQL | prompt, model) — the heart of the simulation.
 
         Exposed publicly so tests and ablation benches can assert the
-        direction of each feature's effect.
+        direction of each feature's effect.  A pure function of (model,
+        prompt), so it is computed once per prompt object and thread:
+        the samples of a vote and the retries of a call share one
+        prompt and reuse the value.  A built prompt is treated as
+        immutable.
         """
+        memo = getattr(self._outcome, "entry", None)
+        if memo is not None and memo[0] is prompt:
+            return memo[1]
+        p = self._success_probability(prompt)
+        self._outcome.entry = (prompt, p)
+        return p
+
+    def _success_probability(self, prompt: Prompt) -> float:
         gold = self.oracle.lookup(prompt.db_id, prompt.question)
         if gold is None:
             return _P_FLOOR
@@ -170,10 +194,9 @@ class SimulatedLLM:
         return -0.02 * self.profile.chattiness
 
     def _linking_term(self, prompt: Prompt) -> float:
-        linker = self._linkers.get(prompt.db_id)
+        linker = self._linkers.get(prompt.schema)
         if linker is None:
-            linker = SchemaLinker(prompt.schema)
-            self._linkers[prompt.db_id] = linker
+            linker = self._linkers[prompt.schema] = SchemaLinker(prompt.schema)
         coverage = linker.link(prompt.question).coverage()
         # Centred at the typical Spider coverage; low-coverage questions
         # (Spider-Realistic) are harder for everyone, and hardest for
@@ -243,10 +266,21 @@ class SimulatedLLM:
 
     def generate(self, prompt: Prompt, sample_tag: str = "") -> GenerationResult:
         """Produce a response; deterministic in (model, prompt, tag)."""
-        if self.metrics is None:
+        metrics = self.metrics
+        if metrics is None:
             return self._generate(prompt, sample_tag)
         start = time.perf_counter()
         result = self._generate(prompt, sample_tag)
+        bound = self._series
+        if bound is None or bound[0] is not metrics:
+            bound = self._series = (metrics, self._bind_series(metrics))
+        request, prompt_tokens, completion_tokens = bound[1]
+        request.observe(time.perf_counter() - start)
+        prompt_tokens.observe(result.prompt_tokens)
+        completion_tokens.observe(result.completion_tokens)
+        return result
+
+    def _bind_series(self, metrics) -> tuple:
         from ..obs.metrics import (
             M_LLM_COMPLETION_TOKENS,
             M_LLM_PROMPT_TOKENS,
@@ -255,12 +289,13 @@ class SimulatedLLM:
         )
 
         labels = {"model": self.model_id}
-        self.metrics.observe(M_LLM_REQUEST, time.perf_counter() - start, labels)
-        self.metrics.observe(M_LLM_PROMPT_TOKENS, result.prompt_tokens,
-                             labels, buckets=TOKEN_BUCKETS)
-        self.metrics.observe(M_LLM_COMPLETION_TOKENS, result.completion_tokens,
-                             labels, buckets=TOKEN_BUCKETS)
-        return result
+        return (
+            metrics.bind_histogram(M_LLM_REQUEST, labels),
+            metrics.bind_histogram(M_LLM_PROMPT_TOKENS, labels,
+                                   buckets=TOKEN_BUCKETS),
+            metrics.bind_histogram(M_LLM_COMPLETION_TOKENS, labels,
+                                   buckets=TOKEN_BUCKETS),
+        )
 
     def _generate(self, prompt: Prompt, sample_tag: str = "") -> GenerationResult:
         if self.latency_s > 0:

@@ -55,6 +55,17 @@ def bind(**labels: str) -> Iterator[None]:
         stack.pop()
 
 
+def frames() -> List[Dict[str, str]]:
+    """The calling thread's binding stack itself (not a copy).
+
+    For hot paths that push one prebuilt frame around a block without
+    :func:`bind`'s generator (the stage timer): the caller appends a
+    frame it never mutates and pops it when the block ends, innermost
+    first, exactly as ``bind`` does.
+    """
+    return _stack()
+
+
 def snapshot() -> Dict[str, str]:
     """The merged label view of the calling thread (innermost wins).
 

@@ -23,11 +23,11 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..errors import EvaluationError
 from . import context
-from .metrics import M_LLM_COST, M_LLM_TOKENS, MetricsRegistry
+from .metrics import M_LLM_COST, M_LLM_TOKENS, CounterSeries, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,13 @@ class CostMeter:
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
+        #: (prompt, completion, cost) series bound per attribution — the
+        #: model id plus each :data:`~repro.obs.context.METRIC_LABEL_KEYS`
+        #: value (``None`` when unset) — so a call sorts no labels.
+        self._series: Dict[
+            Tuple[Optional[str], ...],
+            Tuple[CounterSeries, CounterSeries, CounterSeries],
+        ] = {}
 
     def record(
         self,
@@ -115,21 +122,35 @@ class CostMeter:
         if prompt_tokens <= 0 and completion_tokens <= 0:
             return
         source = labels if labels is not None else context.snapshot()
-        stamped = {
-            key: str(source[key])
+        attribution = (model_id,) + tuple(
+            str(source[key]) if source.get(key) else None
             for key in context.METRIC_LABEL_KEYS
-            if source.get(key)
-        }
-        stamped["model"] = model_id
+        )
+        series = self._series.get(attribution)
+        if series is None:
+            series = self._series[attribution] = self._bind(attribution)
+        prompt, completion, cost_usd = series
         if prompt_tokens > 0:
-            self.registry.counter_add(
-                M_LLM_TOKENS, prompt_tokens, {**stamped, "kind": "prompt"}
-            )
+            prompt.add(prompt_tokens)
         if completion_tokens > 0:
-            self.registry.counter_add(
-                M_LLM_TOKENS, completion_tokens,
-                {**stamped, "kind": "completion"},
-            )
+            completion.add(completion_tokens)
         cost = tokens_cost_usd(model_id, prompt_tokens, completion_tokens)
         if cost is not None and cost > 0:
-            self.registry.counter_add(M_LLM_COST, cost, stamped)
+            cost_usd.add(cost)
+
+    def _bind(
+        self, attribution: Tuple[Optional[str], ...]
+    ) -> Tuple[CounterSeries, CounterSeries, CounterSeries]:
+        model_id, *values = attribution
+        stamped = {
+            key: value
+            for key, value in zip(context.METRIC_LABEL_KEYS, values)
+            if value is not None
+        }
+        stamped["model"] = model_id
+        bind = self.registry.bind_counter
+        return (
+            bind(M_LLM_TOKENS, {**stamped, "kind": "prompt"}),
+            bind(M_LLM_TOKENS, {**stamped, "kind": "completion"}),
+            bind(M_LLM_COST, stamped),
+        )

@@ -10,10 +10,17 @@ LLM clients and the database pool.  Two export formats:
 * :meth:`MetricsRegistry.snapshot` — a JSON-ready dict, written next to
   run artifacts and consumed by the live progress reporter.
 
-Everything is thread-safe behind one lock; recording a sample is a dict
-update, so instrumentation stays cheap enough to leave on everywhere.
-The registry imports only the standard library (like ``repro.cache`` it
-sits below every other layer).
+Everything is thread-safe behind one lock.  A sample recorded through
+:meth:`MetricsRegistry.counter_add` / :meth:`MetricsRegistry.observe`
+first canonicalises its label mapping (sorts the keys, stringifies the
+values) and then updates the series under that lock.  Hot paths skip the
+canonicalisation: :meth:`MetricsRegistry.bind_counter` and
+:meth:`MetricsRegistry.bind_histogram` return a series handle whose label
+key is computed once (the ``.labels()`` child of prometheus_client), so
+each later sample costs one lock hold and a dict update.  Every sample
+still lands in the registry the moment it is recorded; nothing is
+buffered, so a live scrape sees it.  The registry imports only the
+standard library (like ``repro.cache`` it sits below every other layer).
 """
 
 from __future__ import annotations
@@ -161,10 +168,7 @@ class MetricsRegistry:
         value: float = 1.0,
         labels: Optional[Mapping[str, object]] = None,
     ) -> None:
-        key = labels_key(labels)
-        with self._lock:
-            series = self._counters.setdefault(name, {})
-            series[key] = series.get(key, 0.0) + value
+        self.bind_counter(name, labels).add(value)
 
     def gauge_set(
         self,
@@ -194,14 +198,36 @@ class MetricsRegistry:
         buckets: Sequence[float] = LATENCY_BUCKETS,
     ) -> None:
         """Record one histogram sample (first call fixes the buckets)."""
-        key = labels_key(labels)
-        with self._lock:
-            bounds = self._histogram_bounds.setdefault(name, tuple(buckets))
-            series = self._histograms.setdefault(name, {})
-            histogram = series.get(key)
-            if histogram is None:
-                histogram = series[key] = _Histogram(bounds)
-            histogram.observe(value)
+        self.bind_histogram(name, labels, buckets).observe(value)
+
+    # -- bound series --------------------------------------------------------
+
+    def bind_counter(
+        self,
+        name: str,
+        labels: Optional[Mapping[str, object]] = None,
+    ) -> "CounterSeries":
+        """A handle on one counter series, its labels canonicalised once.
+
+        ``series.add(v)`` records exactly what ``counter_add(name, v,
+        labels)`` would.  Binding records nothing: a series never added
+        to leaves no family in either export.
+        """
+        return CounterSeries(self, name, labels_key(labels))
+
+    def bind_histogram(
+        self,
+        name: str,
+        labels: Optional[Mapping[str, object]] = None,
+        buckets: Sequence[float] = LATENCY_BUCKETS,
+    ) -> "HistogramSeries":
+        """A handle on one histogram series (see :meth:`bind_counter`).
+
+        ``series.observe(v)`` records exactly what ``observe(name, v,
+        labels, buckets)`` would — including the first sample of
+        ``name`` fixing its buckets for every series of the family.
+        """
+        return HistogramSeries(self, name, labels_key(labels), tuple(buckets))
 
     # -- reading -------------------------------------------------------------
 
@@ -363,6 +389,71 @@ class MetricsRegistry:
         """
         with self._lock:
             return self._to_prometheus_locked(), self._snapshot_locked()
+
+
+class CounterSeries:
+    """One counter series of a registry (:meth:`MetricsRegistry.bind_counter`).
+
+    The family dict is looked up on the first :meth:`add` and kept:
+    the registry never drops or replaces a family once created.
+    """
+
+    __slots__ = ("_registry", "_lock", "_family", "name", "key")
+
+    def __init__(self, registry: MetricsRegistry, name: str, key: LabelKey):
+        self._registry = registry
+        self._lock = registry._lock
+        self._family: Optional[Dict[LabelKey, float]] = None
+        self.name = name
+        self.key = key
+
+    def add(self, value: float = 1.0) -> None:
+        with self._lock:
+            family = self._family
+            if family is None:
+                family = self._family = self._registry._counters.setdefault(
+                    self.name, {}
+                )
+            family[self.key] = family.get(self.key, 0.0) + value
+
+
+class HistogramSeries:
+    """One histogram series of a registry (:meth:`MetricsRegistry.bind_histogram`).
+
+    The series' histogram is created (or found) on the first
+    :meth:`observe` and kept, like :class:`CounterSeries`' family.
+    """
+
+    __slots__ = ("_registry", "_lock", "_histogram", "name", "key", "buckets")
+
+    def __init__(
+        self,
+        registry: MetricsRegistry,
+        name: str,
+        key: LabelKey,
+        buckets: Tuple[float, ...],
+    ):
+        self._registry = registry
+        self._lock = registry._lock
+        self._histogram: Optional[_Histogram] = None
+        self.name = name
+        self.key = key
+        self.buckets = buckets
+
+    def observe(self, value: float) -> None:
+        with self._lock:
+            histogram = self._histogram
+            if histogram is None:
+                registry = self._registry
+                family = registry._histograms.setdefault(self.name, {})
+                histogram = family.get(self.key)
+                if histogram is None:
+                    bounds = registry._histogram_bounds.setdefault(
+                        self.name, self.buckets
+                    )
+                    histogram = family[self.key] = _Histogram(bounds)
+                self._histogram = histogram
+            histogram.observe(value)
 
 
 def _escape_label(value: str) -> str:

@@ -9,6 +9,8 @@ The load-bearing guarantees:
 * the trace file reconciles with ``RunTelemetry.stage_s``.
 """
 
+import sys
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -18,12 +20,14 @@ from repro.eval.harness import BenchmarkRunner, RunConfig
 from repro.obs import tracefile
 from repro.obs.metrics import (
     M_BUSY_SECONDS,
+    M_CACHE_REQUESTS,
     M_CACHE_TIER,
     M_DB_EXECUTE,
     M_ERRORS,
     M_EXAMPLES,
     M_INFLIGHT,
     M_LLM_REQUEST,
+    M_LLM_TOKENS,
     M_STAGE_SECONDS,
     MetricsRegistry,
 )
@@ -236,3 +240,51 @@ class TestErrorSurfacing:
                 CONFIG, limit=4
             )
         assert "err 1" in stream.getvalue().split("\r")[-1]
+
+
+class TestHotPathsBindOnce:
+    """Stage timers, cache lookups and token metering record through
+    series bound once: after a series' first sample, a batch pass
+    canonicalises none of their labels again."""
+
+    #: Modules of the per-sample hot paths (stage timers and cache
+    #: hooks, token/cost metering, cache tier events, LLM histograms).
+    HOT_MODULES = ("repro.eval.telemetry", "repro.obs.cost",
+                   "repro.cache.store", "repro.llm.simulated")
+
+    def test_each_hot_series_canonicalised_once(self, corpus, monkeypatch):
+        from repro.cache.store import ArtifactCache
+        from repro.obs import metrics
+
+        canonicalised = Counter()
+        original = metrics.labels_key
+
+        def counting(labels):
+            # Every recording canonicalises in bind_counter/bind_histogram
+            # (counter_add and observe bind a throwaway series); the
+            # site is the first caller outside the registry module.
+            method = sys._getframe(1)
+            site = method.f_back
+            while site.f_globals.get("__name__") == metrics.__name__:
+                site = site.f_back
+            if method.f_code.co_name.startswith("bind_") and (
+                site.f_globals.get("__name__") in self.HOT_MODULES
+            ):
+                name = method.f_locals.get("name")
+                canonicalised[(name, original(labels))] += 1
+            return original(labels)
+
+        monkeypatch.setattr(metrics, "labels_key", counting)
+        runner = fresh_runner(corpus, cache=ArtifactCache(),
+                              feedback_rounds=3)
+        registry = MetricsRegistry()
+        report = EvalEngine(runner, workers=1, registry=registry).run(
+            RunConfig(model="gpt-3.5-turbo", representation="CR_P"),
+            n_samples=5,
+        )
+        assert report.telemetry.examples == len(corpus.dev.examples) > 1
+        names = {name for name, _ in canonicalised}
+        assert {M_STAGE_SECONDS, M_CACHE_REQUESTS, M_CACHE_TIER,
+                M_LLM_TOKENS, M_LLM_REQUEST} <= names
+        repeated = {key: n for key, n in canonicalised.items() if n > 1}
+        assert repeated == {}

@@ -4,13 +4,20 @@ These are the substrate's contract tests: each prompt feature must move
 success probability in the direction the paper's findings rely on.
 """
 
+import sys
+import threading
+
 import pytest
 
+from repro.eval.candidates import search
+from repro.eval.harness import BenchmarkRunner, RunConfig
 from repro.llm.extract import extract_sql
 from repro.llm.simulated import make_llm
 from repro.prompt.builder import PromptBuilder
 from repro.prompt.organization import ExampleBlock, get_organization
 from repro.prompt.representation import RepresentationOptions, get_representation
+from repro.schema.linker import SchemaLinker
+from repro.schema.model import DatabaseSchema
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +196,115 @@ class TestBatchAndLatency:
         slow = make_llm("gpt-4", oracle, latency_s=0.01)
         prompt = build_prompt(dev, dev.examples[0])
         assert slow.generate(prompt).text == llm.generate(prompt).text
+
+
+def one_table_schema(schema):
+    """A pruned copy of ``schema`` under the same ``db_id``."""
+    return DatabaseSchema(schema.db_id, tables=schema.tables[:1])
+
+
+class TestLinkerPerSchema:
+    def test_same_db_id_schemas_link_separately(self, dev, oracle):
+        """A model that first sees a pruned schema under a ``db_id``
+        scores full-schema prompts exactly as a fresh model does."""
+        rep = get_representation("CR_P", RepresentationOptions())
+        builder = PromptBuilder(rep, get_organization("FI_O"))
+        llm = make_llm("gpt-4", oracle)
+        differing = []
+        for example in dev.examples:
+            schema = dev.schema(example.db_id)
+            llm.success_probability(
+                builder.build(one_table_schema(schema), example.question)
+            )
+            prompt = builder.build(schema, example.question)
+            fresh = make_llm("gpt-4", oracle).success_probability(prompt)
+            if llm.success_probability(prompt) != fresh:
+                differing.append(example.example_id)
+        assert differing == []
+
+
+def counting_link(monkeypatch):
+    """Patch :meth:`SchemaLinker.link` to record each linked question."""
+    calls = []
+    original = SchemaLinker.link
+
+    def link(self, question):
+        calls.append(question)
+        return original(self, question)
+
+    monkeypatch.setattr(SchemaLinker, "link", link)
+    return calls
+
+
+class TestOutcomeMemo:
+    def test_vote_links_question_once(self, corpus, monkeypatch):
+        runner = BenchmarkRunner(
+            corpus.dev, corpus.train, corpus.pool(), seed=3
+        )
+        plan = runner.prepare(
+            RunConfig(model="gpt-3.5-turbo", representation="CR_P"),
+            n_samples=5,
+        )
+        example = corpus.dev.examples[0]
+        prompt = plan.builder.build(
+            corpus.dev.schema(example.db_id), example.question
+        )
+        scored = []
+        original = plan.llm.success_probability
+
+        def recording(p):
+            scored.append(original(p))
+            return scored[-1]
+
+        monkeypatch.setattr(plan.llm, "success_probability", recording)
+        links = counting_link(monkeypatch)
+        search(runner.pipeline, plan.llm, prompt, example.db_id,
+               n_samples=5, execute=False)
+        assert len(scored) == 5
+        assert links == [example.question]
+        monkeypatch.undo()
+        fresh = make_llm("gpt-3.5-turbo", plan.llm.oracle)
+        assert scored == [fresh.success_probability(prompt)] * 5
+
+    def test_interleaved_prompts_and_models(self, dev, oracle):
+        prompts = [build_prompt(dev, example) for example in dev.examples[:6]]
+        models = [make_llm("gpt-4", oracle), make_llm("llama-7b", oracle)]
+        expected = {
+            (m, i): make_llm(models[m].model_id, oracle).success_probability(p)
+            for m in range(len(models)) for i, p in enumerate(prompts)
+        }
+        assert len(set(expected.values())) > 1
+        for _ in range(3):
+            for i, prompt in enumerate(prompts):
+                for m, llm in enumerate(models):
+                    assert llm.success_probability(prompt) == expected[(m, i)]
+
+    def test_threads_keep_their_own_entry(self, dev, oracle):
+        llm = make_llm("gpt-4", oracle)
+        prompts = [build_prompt(dev, example) for example in dev.examples[:4]]
+        expected = [
+            make_llm("gpt-4", oracle).success_probability(p) for p in prompts
+        ]
+        assert len(set(expected)) > 1
+        mismatches = []
+        start = threading.Barrier(len(prompts))
+
+        def score(index):
+            start.wait(timeout=10)
+            for _ in range(200):
+                if llm.success_probability(prompts[index]) != expected[index]:
+                    mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=score, args=(i,))
+                       for i in range(len(prompts))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []

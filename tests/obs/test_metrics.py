@@ -1,11 +1,13 @@
 """MetricsRegistry tests: counters, gauges, histograms, exporters."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
+    TOKEN_BUCKETS,
     MetricsRegistry,
     labels_key,
     parse_prometheus,
@@ -144,6 +146,109 @@ class TestExport:
         snap = self.make_registry().snapshot()
         json.dumps(snap)
         assert set(snap) == {"counters", "gauges", "histograms"}
+
+
+class TestBoundSeries:
+    """A bound series records exactly what the unbound calls record."""
+
+    SAMPLES = [
+        ("c", 2.0, {"stage": "generate", "cell": "a"}),
+        ("c", 3.0, {"cell": "a", "stage": "generate"}),
+        ("c", 1.5, {"cell": "b", "stage": 7}),
+        ("c", 1.0, None),
+        ("d", 4.0, {"kind": "prompt"}),
+    ]
+    OBSERVATIONS = [
+        ("h", 0.003, {"stage": "generate"}, LATENCY_BUCKETS),
+        ("h", 0.2, {"stage": "execute"}, LATENCY_BUCKETS),
+        ("h", 9.0, {"stage": "generate"}, LATENCY_BUCKETS),
+        ("t", 100, {"model": "m"}, TOKEN_BUCKETS),
+        ("t", 5000, {"model": "m"}, TOKEN_BUCKETS),
+    ]
+
+    def unbound(self):
+        registry = MetricsRegistry()
+        for name, value, labels in self.SAMPLES:
+            registry.counter_add(name, value, labels)
+        for name, value, labels, buckets in self.OBSERVATIONS:
+            registry.observe(name, value, labels, buckets=buckets)
+        return registry
+
+    def bound(self):
+        registry = MetricsRegistry()
+        for name, value, labels in self.SAMPLES:
+            registry.bind_counter(name, labels).add(value)
+        for name, value, labels, buckets in self.OBSERVATIONS:
+            registry.bind_histogram(name, labels, buckets=buckets).observe(value)
+        return registry
+
+    def test_same_exports(self):
+        assert self.bound().snapshot() == self.unbound().snapshot()
+        assert self.bound().to_prometheus() == self.unbound().to_prometheus()
+
+    def test_series_reused_across_samples(self):
+        registry = MetricsRegistry()
+        counter = registry.bind_counter("c", {"cell": "a"})
+        histogram = registry.bind_histogram("h", {"stage": "x"})
+        for _ in range(3):
+            counter.add(2)
+            histogram.observe(0.01)
+        registry.counter_add("c", 1, {"cell": "a"})
+        registry.observe("h", 0.01, {"stage": "x"})
+        assert registry.counter_value("c", {"cell": "a"}) == 7
+        assert registry.histogram_count("h", {"stage": "x"}) == 4
+
+    def test_first_sample_fixes_buckets(self):
+        # Whichever recording comes first — bound or unbound — fixes
+        # the family's buckets, exactly as two unbound observes do.
+        for first_bound in (True, False):
+            registry = MetricsRegistry()
+            wide = registry.bind_histogram("h", {"s": "a"}, buckets=(1, 10))
+            if first_bound:
+                wide.observe(5)
+                registry.observe("h", 5, {"s": "b"}, buckets=(2, 3))
+            else:
+                registry.observe("h", 5, {"s": "b"}, buckets=(2, 3))
+                wide.observe(5)
+            reference = MetricsRegistry()
+            order = [("a", (1, 10)), ("b", (2, 3))]
+            for label, buckets in order if first_bound else order[::-1]:
+                reference.observe("h", 5, {"s": label}, buckets=buckets)
+            assert registry.snapshot() == reference.snapshot()
+            expected = (1, 10) if first_bound else (2, 3)
+            for series in registry.snapshot()["histograms"]["h"]:
+                assert tuple(series["buckets"]) == expected
+
+    def test_unused_series_leave_no_family(self):
+        registry = MetricsRegistry()
+        registry.bind_counter("c", {"cell": "a"})
+        registry.bind_histogram("h", {"stage": "x"})
+        assert registry.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
+        assert registry.to_prometheus() == "\n"
+
+    def test_concurrent_bound_adds(self):
+        registry = MetricsRegistry()
+        counter = registry.bind_counter("n", {"t": "x"})
+
+        def work():
+            for _ in range(1000):
+                counter.add(1)
+                registry.counter_add("n", 1, {"t": "x"})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.counter_value("n") == 16000
 
 
 class TestLabelsKey:

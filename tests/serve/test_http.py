@@ -37,7 +37,8 @@ def post(base: str, path: str, body, headers: dict = None) -> tuple:
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read()), response.headers
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read()), error.headers
+        with error:  # the error is the response: close its socket
+            return error.code, json.loads(error.read()), error.headers
 
 
 def get(base: str, path: str) -> tuple:
@@ -45,7 +46,8 @@ def get(base: str, path: str) -> tuple:
         with urllib.request.urlopen(base + path, timeout=30) as response:
             return response.status, response.read().decode("utf-8")
     except urllib.error.HTTPError as error:
-        return error.code, error.read().decode("utf-8")
+        with error:
+            return error.code, error.read().decode("utf-8")
 
 
 def fresh_server(corpus, *, threaded: bool = True, **service_kwargs) -> SqlServer:
@@ -132,7 +134,8 @@ class TestStatusMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_unknown_database_is_404(self, base):
         status, payload, _ = post(base, "/v1/generate", {
