@@ -77,7 +77,13 @@ def split_statements(text: str) -> List[str]:
     Semicolons inside ``'...'`` or ``"..."`` literals (with doubled-quote
     escapes) do not split.  Empty fragments are dropped; a lone trailing
     semicolon therefore yields one statement.
+
+    Text without a semicolon is one statement (or none) and is not
+    walked.
     """
+    if ";" not in text:
+        stripped = text.strip()
+        return [stripped] if stripped else []
     statements: List[str] = []
     current: List[str] = []
     quote = ""

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ...db.sqlite_backend import DatabasePool
 from ...errors import DatasetError
+from ...sql.hardness import hardness
 from ..spider import Example, SpiderDataset
 from .domains import DOMAINS, build_schema
 from .populate import populate
@@ -119,12 +120,17 @@ def build_corpus(config: Optional[CorpusConfig] = None) -> Corpus:
         rows[spec.db_id] = data
         count = config.dev_per_db if spec.group == "dev" else config.train_per_db
         generated = generate_examples(schema, data, count, seed=config.seed)
+        # Hardness is read off the template's AST, so the corpus never
+        # parses its own gold SQL; every generated query round-trips
+        # (``parse(unparse(ast)) == ast``), so the bucket is the one a
+        # parse of ``query`` would give.
         examples = [
             Example(
                 db_id=spec.db_id,
                 question=g.question,
                 query=g.sql,
                 example_id=f"{spec.db_id}-{i}",
+                hardness=hardness(g.query),
             )
             for i, g in enumerate(generated)
         ]

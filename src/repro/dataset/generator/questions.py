@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...schema.model import Column, DatabaseSchema, Table
@@ -45,12 +46,17 @@ Rows = Dict[str, List[dict]]
 
 @dataclass
 class GeneratedExample:
-    """One generated (question, SQL) pair, before packaging."""
+    """One generated (question, SQL) pair, before packaging.
+
+    ``sql`` is unparsed from the AST on first read and kept: the
+    generator reads it for its duplicate check and its execution check,
+    and the corpus reads it again for the packaged example.
+    """
 
     question: str
     query: Query
 
-    @property
+    @cached_property
     def sql(self) -> str:
         return unparse(self.query)
 

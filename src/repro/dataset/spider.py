@@ -27,7 +27,7 @@ from ..schema.model import (
     schema_to_spider_entry,
 )
 from ..sql.hardness import hardness
-from ..sql.parser import parse, try_parse
+from ..sql.parser import try_parse
 from ..sql.skeleton import sql_skeleton
 
 
@@ -40,7 +40,10 @@ class Example:
         question: natural-language question.
         query: gold SQL.
         example_id: stable identifier within its dataset.
-        hardness: Spider hardness bucket (computed lazily if empty).
+        hardness: Spider hardness bucket.  When left empty it is
+            computed eagerly in ``__post_init__`` by parsing ``query``
+            (``"extra"`` if the query does not parse); the corpus
+            generator passes it in from the gold AST instead.
     """
 
     db_id: str

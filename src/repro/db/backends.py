@@ -34,7 +34,7 @@ from ..errors import DialectError, ExecutionError
 from ..schema.model import DatabaseSchema
 from ..sql.dialect import DialectProfile, get_dialect, reference_dialect
 from ..sql.transpile import normalize_to_reference
-from .sqlite_backend import MAX_ROWS, Database, ResultRows
+from .sqlite_backend import MAX_ROWS, Database, ExecuteMetrics, ResultRows
 
 try:  # pragma: no cover - exercised only where duckdb is installed
     import duckdb  # type: ignore[import-not-found]
@@ -125,13 +125,14 @@ class EmulatedDatabase(Database):
             return cached
         start = time.perf_counter()
         text = normalize_to_reference(sql, self.profile)
+        # Read the clock before recording: the import and the label
+        # canonicalisation below are not transpilation.
+        elapsed = time.perf_counter() - start
         if self.metrics is not None:
             from ..obs.metrics import M_SQL_TRANSPILE
 
             self.metrics.counter_add(
-                M_SQL_TRANSPILE,
-                time.perf_counter() - start,
-                {"dialect": self.profile.name},
+                M_SQL_TRANSPILE, elapsed, {"dialect": self.profile.name}
             )
         if len(self._transpile_memo) < _TRANSPILE_MEMO_LIMIT:
             self._transpile_memo[sql] = text
@@ -160,7 +161,7 @@ class EmulatedBackend(ExecutionBackend):
         return database
 
 
-class DuckDBDatabase:
+class DuckDBDatabase(ExecuteMetrics):
     """One in-memory DuckDB database; mirrors the ``Database`` contract
     (SELECT whitelist, row cap, transient-error classification)."""
 
@@ -235,13 +236,8 @@ class DuckDBDatabase:
                 f"execution failed: {exc}", transient=transient
             ) from exc
         finally:
-            if self.metrics is not None:
-                from ..obs.metrics import M_DB_EXECUTE
-
-                self.metrics.observe(
-                    M_DB_EXECUTE, time.perf_counter() - start,
-                    {"db": self.db_id},
-                )
+            if self._execute_seconds is not None:
+                self._execute_seconds.observe(time.perf_counter() - start)
         if len(result) > max_rows:
             raise ExecutionError(f"query returned more than {max_rows} rows")
         return [tuple(row) for row in result]

@@ -29,7 +29,30 @@ MAX_ROWS = 10_000
 MAX_VM_STEPS = 5_000_000
 
 
-class Database:
+class ExecuteMetrics:
+    """The ``metrics`` attribute of a database: an optional
+    MetricsRegistry that execute() timings are observed into, as
+    ``repro_db_execute_seconds{db}``.  Setting it binds that series
+    once, so a query records its timing without building labels."""
+
+    db_id: str
+
+    @property
+    def metrics(self):
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry) -> None:
+        from ..obs.metrics import M_DB_EXECUTE
+
+        self._metrics = registry
+        self._execute_seconds = (
+            registry.bind_histogram(M_DB_EXECUTE, {"db": self.db_id})
+            if registry is not None else None
+        )
+
+
+class Database(ExecuteMetrics):
     """One SQLite database built from a schema and row data.
 
     Use as a context manager or call :meth:`close` explicitly::
@@ -42,8 +65,6 @@ class Database:
         self._conn = connection
         self.db_id = db_id
         self._closed = False
-        #: Optional MetricsRegistry; when set, execute() timings are
-        #: observed into ``repro_db_execute_seconds``.
         self.metrics = None
 
     # -- construction --------------------------------------------------------
@@ -175,13 +196,8 @@ class Database:
             ) from exc
         finally:
             self._conn.set_progress_handler(None, 0)
-            if self.metrics is not None:
-                from ..obs.metrics import M_DB_EXECUTE
-
-                self.metrics.observe(
-                    M_DB_EXECUTE, time.perf_counter() - start,
-                    {"db": self.db_id},
-                )
+            if self._execute_seconds is not None:
+                self._execute_seconds.observe(time.perf_counter() - start)
         if len(rows) > max_rows:
             raise ExecutionError(f"query returned more than {max_rows} rows")
         return [tuple(row) for row in rows]

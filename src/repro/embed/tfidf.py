@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,20 +44,53 @@ class TfidfEmbedder:
 
     def fit(self, texts: Sequence[str]) -> "TfidfEmbedder":
         """Learn vocabulary and IDF weights from ``texts``."""
-        doc_freq: Counter = Counter()
-        for text in texts:
-            doc_freq.update(set(_features(text)))
-        n_docs = max(len(texts), 1)
-        self._idf = {
-            feat: math.log((1 + n_docs) / (1 + df)) + 1.0
-            for feat, df in doc_freq.items()
-        }
-        self._index = {feat: i for i, feat in enumerate(sorted(self._idf))}
-        if self._idf:
-            values = sorted(self._idf.values())
-            self._default_idf = values[len(values) // 2]
-        self._fitted = True
+        self._fit_rows(texts)
         return self
+
+    def _fit_rows(self, texts: Sequence[str]) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Fit on ``texts`` and return each text's vector as (vocabulary
+        indices, weights) arrays, equal to :meth:`transform` of the text
+        entry for entry and in its order, from one feature pass per text.
+
+        Each text's features are counted once, numbered in order of first
+        appearance; vocabulary indices and weights follow once every text
+        is counted.  Logs and the norm's sum are taken in Python exactly
+        as :meth:`transform` takes them, so the weights are bit-identical.
+        """
+        ids: Dict[str, int] = {}
+        rows: List[Tuple[np.ndarray, np.ndarray]] = []
+        for text in texts:
+            counts = Counter(_features(text))
+            rows.append((
+                np.array([ids.setdefault(f, len(ids)) for f in counts], np.intp),
+                np.fromiter(counts.values(), np.intp, len(counts)),
+            ))
+        n_docs = max(len(texts), 1)
+        doc_freq = np.bincount(
+            np.concatenate([np.empty(0, np.intp), *(row for row, _ in rows)]),
+            minlength=len(ids),
+        )
+        features = list(ids)
+        idf = [math.log((1 + n_docs) / (1 + df)) + 1.0 for df in doc_freq.tolist()]
+        self._idf = dict(zip(features, idf))
+        order = sorted(range(len(features)), key=features.__getitem__)
+        self._index = {features[fid]: i for i, fid in enumerate(order)}
+        to_index = np.empty(len(features), np.intp)
+        to_index[order] = np.arange(len(order))
+        if idf:
+            self._default_idf = sorted(idf)[len(idf) // 2]
+        self._fitted = True
+
+        idf_by_id = np.array(idf)
+        most = max((int(c.max()) for _, c in rows if len(c)), default=0)
+        term = np.array([0.0] + [1 + math.log(c) for c in range(1, most + 1)])
+        for position, (fids, counts) in enumerate(rows):
+            weights = term[counts] * idf_by_id[fids]
+            norm = math.sqrt(sum((weights * weights).tolist()))
+            if norm > 0:
+                weights /= norm
+            rows[position] = (to_index[fids], weights)
+        return rows
 
     def transform(self, text: str) -> Vector:
         """Embed one text. Unknown features hash onto extended indices."""
@@ -77,8 +110,10 @@ class TfidfEmbedder:
         return vector
 
     def fit_transform(self, texts: Sequence[str]) -> List[Vector]:
-        self.fit(texts)
-        return [self.transform(t) for t in texts]
+        return [
+            dict(zip(features.tolist(), weights.tolist()))
+            for features, weights in self._fit_rows(texts)
+        ]
 
     @property
     def fitted(self) -> bool:
@@ -134,23 +169,20 @@ class TfidfIndex:
     """
 
     def __init__(self, texts: Sequence[str]):
-        self._embedder = TfidfEmbedder().fit(texts)
+        self._embedder = TfidfEmbedder()
+        rows = self._embedder._fit_rows(texts)
         self._vocab = len(self._embedder._index)
-        self._lengths = np.zeros(len(texts), dtype=np.intp)
-        features, weights = [], []
-        for row, text in enumerate(texts):
-            vector = self._embedder.transform(text)
-            self._lengths[row] = len(vector)
-            features.append(np.fromiter(vector, np.intp, len(vector)))
-            weights.append(np.fromiter(vector.values(), np.float64, len(vector)))
+        self._lengths = np.fromiter(
+            (len(row) for row, _ in rows), np.intp, len(rows)
+        )
         by_length = np.argsort(self._lengths, kind="stable")
         self._sorted_lengths = self._lengths[by_length]
         self._row_ends = np.concatenate([[0], np.cumsum(self._sorted_lengths)])
         self._features = np.concatenate(
-            [np.empty(0, np.intp), *(features[row] for row in by_length)]
+            [np.empty(0, np.intp), *(rows[row][0] for row in by_length)]
         )
         self._weights = np.concatenate(
-            [np.empty(0, np.float64), *(weights[row] for row in by_length)]
+            [np.empty(0, np.float64), *(rows[row][1] for row in by_length)]
         )
         self._rows = np.repeat(by_length, self._sorted_lengths)
         postings = np.argsort(self._features, kind="stable")

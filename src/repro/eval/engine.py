@@ -202,6 +202,7 @@ class EvalEngine:
         own_tracer = self.tracer is None and tracer.enabled
         trace_file = str(tracer.path) if tracer.enabled else ""
         self._attach_metrics(plans, registry)
+        inflight = registry.bind_gauge(M_INFLIGHT)
         backend_name = getattr(self.runner, "backend_name", "")
         record_build_info(registry, backend=backend_name)
 
@@ -282,7 +283,7 @@ class EvalEngine:
                         slots[ci][ei] = record
                         tick(plan, example, record)
                         return
-            registry.gauge_add(M_INFLIGHT, 1)
+            inflight.add(1)
             start = time.perf_counter()
             try:
                 with collector.example(
@@ -319,7 +320,7 @@ class EvalEngine:
                             {**collector.labels, "scope": "example"},
                         )
             finally:
-                registry.gauge_add(M_INFLIGHT, -1)
+                inflight.add(-1)
             collector.example_done(
                 time.perf_counter() - start, error=bool(record.error)
             )

@@ -185,10 +185,7 @@ class MetricsRegistry:
         delta: float,
         labels: Optional[Mapping[str, object]] = None,
     ) -> None:
-        key = labels_key(labels)
-        with self._lock:
-            series = self._gauges.setdefault(name, {})
-            series[key] = series.get(key, 0.0) + delta
+        self.bind_gauge(name, labels).add(delta)
 
     def observe(
         self,
@@ -214,6 +211,18 @@ class MetricsRegistry:
         to leaves no family in either export.
         """
         return CounterSeries(self, name, labels_key(labels))
+
+    def bind_gauge(
+        self,
+        name: str,
+        labels: Optional[Mapping[str, object]] = None,
+    ) -> "GaugeSeries":
+        """A handle on one gauge series (see :meth:`bind_counter`).
+
+        ``series.add(delta)`` records exactly what ``gauge_add(name,
+        delta, labels)`` would.
+        """
+        return GaugeSeries(self, name, labels_key(labels))
 
     def bind_histogram(
         self,
@@ -400,6 +409,9 @@ class CounterSeries:
 
     __slots__ = ("_registry", "_lock", "_family", "name", "key")
 
+    #: The registry table holding this kind's families.
+    _table = "_counters"
+
     def __init__(self, registry: MetricsRegistry, name: str, key: LabelKey):
         self._registry = registry
         self._lock = registry._lock
@@ -411,10 +423,18 @@ class CounterSeries:
         with self._lock:
             family = self._family
             if family is None:
-                family = self._family = self._registry._counters.setdefault(
-                    self.name, {}
-                )
+                family = self._family = getattr(
+                    self._registry, self._table
+                ).setdefault(self.name, {})
             family[self.key] = family.get(self.key, 0.0) + value
+
+
+class GaugeSeries(CounterSeries):
+    """One gauge series of a registry (:meth:`MetricsRegistry.bind_gauge`);
+    :meth:`add` moves it by a delta of either sign."""
+
+    __slots__ = ()
+    _table = "_gauges"
 
 
 class HistogramSeries:

@@ -26,6 +26,7 @@ from .model import DatabaseSchema
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_']+|[^\sA-Za-z0-9_']")
 _QUOTED_RE = re.compile(r"\"[^\"]+\"|'[^']+'|“[^”]+”")
+_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
 
 MASK_TOKEN = "<mask>"
 
@@ -96,6 +97,9 @@ class SchemaLinker:
     def __init__(self, schema: DatabaseSchema):
         self.schema = schema
         self._phrases = self._build_phrases(schema)
+        #: First words of every phrase: an n-gram starting with any other
+        #: word matches nothing, so :meth:`link` never looks it up.
+        self._first_words = frozenset(key[0] for key in self._phrases)
 
     @staticmethod
     def _build_phrases(schema: DatabaseSchema) -> Dict[Tuple[str, ...], Tuple[str, str]]:
@@ -139,10 +143,15 @@ class SchemaLinker:
         linking = SchemaLinking(question=question, tokens=tokens)
         lowered = [t.lower() for t in tokens]
         taken = [False] * len(tokens)
+        first_words = self._first_words
+        starts = [i for i, word in enumerate(lowered) if word in first_words]
 
         # Longest-first schema phrase matching.
         for length in range(min(_MAX_NGRAM, len(tokens)), 0, -1):
-            for start in range(0, len(tokens) - length + 1):
+            last = len(tokens) - length
+            for start in starts:
+                if start > last:
+                    break
                 if any(taken[start:start + length]):
                     continue
                 key = tuple(lowered[start:start + length])
@@ -166,7 +175,7 @@ class SchemaLinker:
         for idx, token in enumerate(tokens):
             if taken[idx]:
                 continue
-            is_number = bool(re.fullmatch(r"\d+(\.\d+)?", token))
+            is_number = _NUMBER_RE.fullmatch(token) is not None
             is_quoted = token.lower() in quoted_words
             is_proper = (
                 idx > 0

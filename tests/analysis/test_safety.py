@@ -1,6 +1,8 @@
 """Safety gate tests: statement classification and splitting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.safety import (
     STATEMENT_KINDS,
@@ -90,3 +92,53 @@ class TestSplitStatements:
     def test_empty_input(self):
         assert split_statements("") == []
         assert split_statements("  ;  ") == []
+
+
+def _split_by_walking(text):
+    """The character walk ``split_statements`` does on text with a
+    semicolon, applied to every text."""
+    statements, current, quote = [], [], ""
+    index = 0
+    while index < len(text):
+        char = text[index]
+        if quote:
+            current.append(char)
+            if char == quote:
+                if index + 1 < len(text) and text[index + 1] == quote:
+                    current.append(quote)
+                    index += 1
+                else:
+                    quote = ""
+        elif char in "'\"":
+            quote = char
+            current.append(char)
+        elif char == ";":
+            statements.append("".join(current))
+            current = []
+        else:
+            current.append(char)
+        index += 1
+    statements.append("".join(current))
+    return [s.strip() for s in statements if s.strip()]
+
+
+class TestSplitFastPath:
+    """Text without a semicolon skips the walk and splits exactly as the
+    walk would."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(list("ab ;'\"\n\t")), max_size=30))
+    def test_matches_the_walk(self, text):
+        assert split_statements(text) == _split_by_walking(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["SELECT 1", " ", ";", "'", '"', "''", '""', "'a;b'", "x", "\n"]
+    ), max_size=12))
+    def test_matches_the_walk_on_sql_pieces(self, pieces):
+        text = "".join(pieces)
+        assert split_statements(text) == _split_by_walking(text)
+
+    def test_no_semicolon(self):
+        assert split_statements("  SELECT 'a'  ") == ["SELECT 'a'"]
+        assert split_statements(" \n ") == []

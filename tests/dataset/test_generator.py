@@ -1,5 +1,7 @@
 """Corpus generator tests: domains, population, questions, realism."""
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -12,9 +14,14 @@ from repro.dataset.generator.corpus import (
 )
 from repro.dataset.generator.domains import DOMAINS, build_schema, domain_by_id
 from repro.dataset.generator.populate import populate
+from repro.dataset.generator import corpus as corpus_module
 from repro.dataset.generator.questions import generate_examples
+from repro.dataset.spider import Example
 from repro.db.sqlite_backend import Database
 from repro.errors import DatasetError, SchemaError
+from repro.experiments.context import FULL_CONFIG
+from repro.sql import parser
+from repro.sql.unparse import unparse
 
 
 class TestDomains:
@@ -152,6 +159,66 @@ class TestCorpus:
     def test_empty_split_raises(self):
         with pytest.raises(DatasetError):
             build_corpus(CorpusConfig(domains=["pets_1"]))  # dev only
+
+
+#: SHA-256 of every example of the full-size corpus (train then dev, each
+#: ``Example.to_json()``, ``json.dumps(..., sort_keys=True)``) per seed.
+FULL_CORPUS_DIGESTS = {
+    0: "68d750cc4970dffba24d0393fab08db6b62b402905a377dcfcb59595a757a406",
+    1: "37f8aa58f56c2e8fb30e5b99b0e0f076b0dc5a266e2d9f639fa76c40c92db9dc",
+    2: "ce02bc002304dfbccdb76f539e58064021727f4035e8056e8630fcb83c70909d",
+    3: "61327834cc8330c8d80e691afb1d8df8cf1358d2fd41482d296dc78a461eccd8",
+    4: "d7856ccd4faaad269a12d6738746137033a01ae3310fd0ca2ed848ab9e195bae",
+    5: "0d9381a9ea4489d64c94aaa7fb9179d1b01f997894ed41eba978e26f69727bdf",
+}
+
+
+class TestCorpusFromAst:
+    """``build_corpus`` reads each example's hardness off its gold AST and
+    never parses; the examples are those that parsing the gold SQL gives."""
+
+    @pytest.mark.parametrize("seed", sorted(FULL_CORPUS_DIGESTS))
+    def test_full_corpus(self, seed, monkeypatch):
+        generated = []
+
+        def recording(*args, **kwargs):
+            examples = generate_examples(*args, **kwargs)
+            generated.extend(examples)
+            return examples
+
+        monkeypatch.setattr(corpus_module, "generate_examples", recording)
+        config = CorpusConfig(seed=seed, train_per_db=FULL_CONFIG.train_per_db,
+                              dev_per_db=FULL_CONFIG.dev_per_db)
+        with build_corpus(config) as built:
+            examples = list(built.train) + list(built.dev)
+        assert len(generated) == len(examples) == 744
+
+        # Every generated AST round-trips through its SQL text ...
+        for item in generated:
+            assert parser.parse(unparse(item.query)) == item.query, item.sql
+        # ... so each example equals one whose hardness comes from a parse.
+        for example in examples:
+            assert example == Example(
+                db_id=example.db_id, question=example.question,
+                query=example.query, example_id=example.example_id,
+            )
+        text = json.dumps([e.to_json() for e in examples], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            FULL_CORPUS_DIGESTS[seed]
+
+    def test_build_parses_nothing(self, monkeypatch):
+        calls = Counter()
+        original = parser._parse
+
+        def counting(sql):
+            calls["parse"] += 1
+            return original(sql)
+
+        # Every parse, whichever name it is called through, runs _parse.
+        monkeypatch.setattr(parser, "_parse", counting)
+        with build_corpus(FULL_CONFIG) as built:
+            assert len(built.train) + len(built.dev) == 744
+        assert calls["parse"] == 0
 
 
 class TestSpiderRealistic:

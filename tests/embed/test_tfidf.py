@@ -1,10 +1,20 @@
 """TF-IDF embedding tests."""
 
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.embed.tfidf import TfidfEmbedder, cosine, hash_feature, top_k
+from repro.embed.tfidf import (
+    TfidfEmbedder,
+    TfidfIndex,
+    _features,
+    cosine,
+    hash_feature,
+    top_k,
+)
 
 CORPUS = [
     "How many singers are there?",
@@ -89,3 +99,51 @@ def test_cosine_bounded(a, b):
     embedder = TfidfEmbedder().fit(CORPUS)
     score = cosine(embedder.transform(a), embedder.transform(b))
     assert -1e-9 <= score <= 1.0 + 1e-9
+
+
+def _fit_two_passes(texts):
+    """An embedder fitted the two-pass way: document frequencies from a
+    feature pass over every text, each vector from a second pass."""
+    doc_freq = Counter()
+    for text in texts:
+        doc_freq.update(set(_features(text)))
+    embedder = TfidfEmbedder()
+    n_docs = max(len(texts), 1)
+    embedder._idf = {
+        feat: math.log((1 + n_docs) / (1 + df)) + 1.0
+        for feat, df in doc_freq.items()
+    }
+    embedder._index = {feat: i for i, feat in enumerate(sorted(embedder._idf))}
+    if embedder._idf:
+        values = sorted(embedder._idf.values())
+        embedder._default_idf = values[len(values) // 2]
+    return embedder, [embedder.transform(text) for text in texts]
+
+
+class TestOnePassFit:
+    """``fit_transform`` and :class:`TfidfIndex` count each text's
+    features once; the vocabulary, IDF weights and vectors are exactly
+    those of a feature pass to fit and another to embed."""
+
+    @given(st.lists(st.text(alphabet="ab c?'", max_size=12), max_size=8))
+    @settings(deadline=None, max_examples=150)
+    def test_fit_transform_equals_two_passes(self, texts):
+        embedder = TfidfEmbedder()
+        vectors = embedder.fit_transform(texts)
+        reference, expected = _fit_two_passes(texts)
+        assert embedder._idf == reference._idf
+        assert embedder._index == reference._index
+        assert embedder._default_idf == reference._default_idf
+        # Same entries, same order, same float bits.
+        assert [list(v.items()) for v in vectors] == \
+            [list(v.items()) for v in expected]
+        assert [embedder.transform(text) for text in texts] == expected
+
+    def test_index_holds_the_two_pass_vectors(self):
+        texts = CORPUS + ["", "How many singers singers are there there?"]
+        _, expected = _fit_two_passes(texts)
+        index = TfidfIndex(texts)
+        for row, vector in enumerate(expected):
+            where = index._rows == row
+            assert index._features[where].tolist() == list(vector)
+            assert index._weights[where].tolist() == list(vector.values())

@@ -243,26 +243,51 @@ class TestErrorSurfacing:
 
 
 class TestHotPathsBindOnce:
-    """Stage timers, cache lookups and token metering record through
-    series bound once: after a series' first sample, a batch pass
-    canonicalises none of their labels again."""
+    """Stage timers, cache lookups, token metering, query timings and the
+    in-flight gauge record through series bound once: after a series'
+    first sample, a batch pass canonicalises none of their labels again,
+    and no label set is canonicalised per example."""
 
     #: Modules of the per-sample hot paths (stage timers and cache
-    #: hooks, token/cost metering, cache tier events, LLM histograms).
+    #: hooks, token/cost metering, cache tier events, LLM histograms,
+    #: query timings, the engine's in-flight gauge).
     HOT_MODULES = ("repro.eval.telemetry", "repro.obs.cost",
-                   "repro.cache.store", "repro.llm.simulated")
+                   "repro.cache.store", "repro.llm.simulated",
+                   "repro.db.sqlite_backend", "repro.eval.engine")
+
+    @staticmethod
+    def _vote_pass(corpus, limit=None):
+        """A serial n=5, 3-round pass over a pool of its own, so each
+        database has one connection (the shared pool has one per thread
+        any earlier test ran on, each binding its own series)."""
+        from repro.cache.store import ArtifactCache
+        from repro.db.sqlite_backend import DatabasePool
+
+        with DatabasePool() as pool:
+            for db_id in corpus.dev.db_ids():
+                pool.add(corpus.dev.schema(db_id), corpus.rows[db_id])
+            runner = BenchmarkRunner(
+                corpus.dev, corpus.train, pool, seed=3,
+                cache=ArtifactCache(), feedback_rounds=3,
+            )
+            return EvalEngine(
+                runner, workers=1, registry=MetricsRegistry()
+            ).run(
+                RunConfig(model="gpt-3.5-turbo", representation="CR_P"),
+                n_samples=5, limit=limit,
+            )
 
     def test_each_hot_series_canonicalised_once(self, corpus, monkeypatch):
-        from repro.cache.store import ArtifactCache
         from repro.obs import metrics
 
         canonicalised = Counter()
         original = metrics.labels_key
 
         def counting(labels):
-            # Every recording canonicalises in bind_counter/bind_histogram
-            # (counter_add and observe bind a throwaway series); the
-            # site is the first caller outside the registry module.
+            # Every recording canonicalises in a bind_* method
+            # (counter_add, gauge_add and observe bind a throwaway
+            # series); the site is the first caller outside the
+            # registry module.
             method = sys._getframe(1)
             site = method.f_back
             while site.f_globals.get("__name__") == metrics.__name__:
@@ -275,16 +300,34 @@ class TestHotPathsBindOnce:
             return original(labels)
 
         monkeypatch.setattr(metrics, "labels_key", counting)
-        runner = fresh_runner(corpus, cache=ArtifactCache(),
-                              feedback_rounds=3)
-        registry = MetricsRegistry()
-        report = EvalEngine(runner, workers=1, registry=registry).run(
-            RunConfig(model="gpt-3.5-turbo", representation="CR_P"),
-            n_samples=5,
-        )
+        report = self._vote_pass(corpus)
         assert report.telemetry.examples == len(corpus.dev.examples) > 1
         names = {name for name, _ in canonicalised}
         assert {M_STAGE_SECONDS, M_CACHE_REQUESTS, M_CACHE_TIER,
-                M_LLM_TOKENS, M_LLM_REQUEST} <= names
+                M_LLM_TOKENS, M_LLM_REQUEST, M_DB_EXECUTE,
+                M_INFLIGHT} <= names
         repeated = {key: n for key, n in canonicalised.items() if n > 1}
         assert repeated == {}
+
+    def test_no_label_set_per_example(self, corpus, monkeypatch):
+        """Counting every canonicalisation, from any module, a pass over
+        the whole split makes fewer extra ones than it has extra
+        examples over a 6-example pass."""
+        from repro.obs import metrics
+
+        calls = {"n": 0}
+        original = metrics.labels_key
+
+        def counting(labels):
+            calls["n"] += 1
+            return original(labels)
+
+        monkeypatch.setattr(metrics, "labels_key", counting)
+        passes = []
+        for limit in (6, None):
+            calls["n"] = 0
+            examples = self._vote_pass(corpus, limit=limit).telemetry.examples
+            passes.append((examples, calls["n"]))
+        (few, few_calls), (every, every_calls) = passes
+        assert every - few >= 24
+        assert every_calls - few_calls < every - few

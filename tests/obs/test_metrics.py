@@ -165,6 +165,12 @@ class TestBoundSeries:
         ("t", 100, {"model": "m"}, TOKEN_BUCKETS),
         ("t", 5000, {"model": "m"}, TOKEN_BUCKETS),
     ]
+    GAUGE_DELTAS = [
+        ("g", 1.0, {"cell": "a"}),
+        ("g", 1.0, {"cell": "a"}),
+        ("g", -1.0, {"cell": "a"}),
+        ("g", 2.5, None),
+    ]
 
     def unbound(self):
         registry = MetricsRegistry()
@@ -172,6 +178,8 @@ class TestBoundSeries:
             registry.counter_add(name, value, labels)
         for name, value, labels, buckets in self.OBSERVATIONS:
             registry.observe(name, value, labels, buckets=buckets)
+        for name, delta, labels in self.GAUGE_DELTAS:
+            registry.gauge_add(name, delta, labels)
         return registry
 
     def bound(self):
@@ -180,6 +188,8 @@ class TestBoundSeries:
             registry.bind_counter(name, labels).add(value)
         for name, value, labels, buckets in self.OBSERVATIONS:
             registry.bind_histogram(name, labels, buckets=buckets).observe(value)
+        for name, delta, labels in self.GAUGE_DELTAS:
+            registry.bind_gauge(name, labels).add(delta)
         return registry
 
     def test_same_exports(self):
@@ -197,6 +207,15 @@ class TestBoundSeries:
         registry.observe("h", 0.01, {"stage": "x"})
         assert registry.counter_value("c", {"cell": "a"}) == 7
         assert registry.histogram_count("h", {"stage": "x"}) == 4
+
+    def test_bound_gauge_shares_the_series(self):
+        registry = MetricsRegistry()
+        gauge = registry.bind_gauge("g", {"cell": "a"})
+        gauge.add(1)
+        registry.gauge_set("g", 5, {"cell": "a"})
+        gauge.add(-2)
+        registry.gauge_add("g", 1, {"cell": "a"})
+        assert registry.gauge_value("g", {"cell": "a"}) == 4
 
     def test_first_sample_fixes_buckets(self):
         # Whichever recording comes first — bound or unbound — fixes
@@ -223,6 +242,7 @@ class TestBoundSeries:
         registry = MetricsRegistry()
         registry.bind_counter("c", {"cell": "a"})
         registry.bind_histogram("h", {"stage": "x"})
+        registry.bind_gauge("g", {"cell": "a"})
         assert registry.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {},
         }
@@ -231,11 +251,14 @@ class TestBoundSeries:
     def test_concurrent_bound_adds(self):
         registry = MetricsRegistry()
         counter = registry.bind_counter("n", {"t": "x"})
+        gauge = registry.bind_gauge("g")
 
         def work():
             for _ in range(1000):
                 counter.add(1)
                 registry.counter_add("n", 1, {"t": "x"})
+                gauge.add(1)
+                registry.gauge_add("g", -2)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -249,6 +272,7 @@ class TestBoundSeries:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert registry.counter_value("n") == 16000
+        assert registry.gauge_value("g") == -8000
 
 
 class TestLabelsKey:

@@ -137,3 +137,55 @@ class TestCoverage:
         for example in corpus.dev.examples[:20]:
             link = corpus.dev.linker(example.db_id).link(example.question)
             assert 0.0 <= link.coverage() <= 1.0
+
+
+def _phrase_mentions_every_ngram(linker, question):
+    """Schema mentions from looking up every n-gram, longest first."""
+    from repro.schema.linker import _MAX_NGRAM, _TOKEN_RE
+    from repro.utils.text import STOPWORDS
+
+    lowered = [t.lower() for t in _TOKEN_RE.findall(question)]
+    taken = [False] * len(lowered)
+    found = []
+    for length in range(min(_MAX_NGRAM, len(lowered)), 0, -1):
+        for start in range(len(lowered) - length + 1):
+            if any(taken[start:start + length]):
+                continue
+            key = tuple(lowered[start:start + length])
+            hit = linker._phrases.get(key)
+            if hit is None or (length == 1 and key[0] in STOPWORDS):
+                continue
+            found.append((start, start + length) + hit)
+            taken[start:start + length] = [True] * length
+    return sorted(found)
+
+
+class TestFirstWordSkip:
+    """``link`` looks up only n-grams whose first word starts some schema
+    phrase; it finds the mentions a lookup of every n-gram finds."""
+
+    def test_same_mentions_as_every_ngram(self, corpus):
+        for dataset in (corpus.train, corpus.dev):
+            for example in dataset:
+                for linker in (dataset.linker(example.db_id),
+                               corpus.dev.linker(corpus.dev.db_ids()[0])):
+                    linking = linker.link(example.question)
+                    schema = sorted(
+                        (m.start, m.end, m.kind, m.target)
+                        for m in linking.mentions if m.kind != "value"
+                    )
+                    assert schema == _phrase_mentions_every_ngram(
+                        linker, example.question)
+
+    @pytest.mark.parametrize("question", [
+        "Zebra yak singer name of every concert",
+        "name name singer age of the singers",
+        "stadium",
+        "",
+        "Show 3 concerts in 'Wembley' by Anna",
+    ])
+    def test_crafted_questions(self, linker, question):
+        linking = linker.link(question)
+        schema = sorted((m.start, m.end, m.kind, m.target)
+                        for m in linking.mentions if m.kind != "value")
+        assert schema == _phrase_mentions_every_ngram(linker, question)
