@@ -7,7 +7,8 @@ the previous one completes, so offered load adapts to service capacity
 instead of overrunning it.  Two passes over the same question set:
 
 * **cold** — every generation misses the artifact cache and pays the
-  (simulated) LLM latency; concurrent misses exercise the coalescer;
+  (simulated) LLM latency, each paid on its request's own thread, so
+  concurrent misses overlap;
 * **warm** — the same questions again, now artifact-cache hits.
 
 Each pass reports p50/p99 latency and sustained QPS.  Before either
@@ -21,7 +22,7 @@ Run as::
 sustains ``--clients`` (default 8) concurrent clients with zero dropped
 requests, warm-cache p99 under ``--p99-factor`` (default 5×) the
 single-request baseline, and a ``/metrics`` export that parses and
-carries the request/latency/coalesce series.
+carries the request/latency series.
 
 The service is built with a deliberately generous rate limiter — this
 is a load generator, so the tenant budget must not be the bottleneck
@@ -146,18 +147,12 @@ def metrics_gate(base):
     required = {
         "repro_http_requests_total",
         "repro_http_request_seconds_count",
-        "repro_serve_coalesce_batch_size_count",
         "repro_build_info",
     }
     missing = sorted(required - names)
     if missing:
         raise SystemExit(f"/metrics is missing series: {missing}")
-    coalesced = sum(
-        value for name, _, value in samples
-        if name == "repro_serve_coalesce_batch_size_count"
-    )
-    print(f"/metrics: {len(samples)} samples parse cleanly; "
-          f"{coalesced:.0f} coalescer dispatches recorded")
+    print(f"/metrics: {len(samples)} samples parse cleanly")
     return samples
 
 
@@ -203,7 +198,6 @@ def main(argv=None):
     runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(),
                              seed=3, llm_latency_s=args.latency)
     service = SqlService(runner, metrics=MetricsRegistry(),
-                         max_batch=args.clients,
                          limiter=RateLimiter(rate=1e6, capacity=1e6))
     questions = [(e.question, e.db_id) for e in corpus.dev.examples]
     if args.limit:

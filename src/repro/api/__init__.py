@@ -77,8 +77,6 @@ from .wire import (
 #: wire schemas from this package, so an eager import here would be a
 #: cycle.  ``__getattr__`` defers the serve import until first use.
 _SERVE_EXPORTS = {
-    "CoalescingClient": "coalesce",
-    "GenerateCoalescer": "coalesce",
     "RateLimiter": "ratelimit",
     "SqlServer": "http",
     "SqlService": "service",
@@ -142,8 +140,6 @@ __all__ = [
     "make_llm",
     "parse_prometheus",
     # serving
-    "CoalescingClient",
-    "GenerateCoalescer",
     "RateLimiter",
     "SqlServer",
     "SqlService",

@@ -21,9 +21,9 @@ Subcommands:
   fired.
 * ``serve`` — boot the long-lived HTTP/JSON service (``POST
   /v1/generate``, ``/v1/lint``, ``/v1/execute``, ``/v1/explain``; ``GET
-  /healthz``, ``/metrics``) with request coalescing, per-tenant rate
-  limits and per-request deadlines over the same artifact cache sweeps
-  use.
+  /healthz``, ``/metrics``) with a circuit breaker on model calls,
+  per-tenant rate limits and per-request deadlines over the same
+  artifact cache sweeps use.
 * ``models`` — list available model profiles.
 * ``cache`` — inspect (``stats``) or wipe (``clear``) the on-disk
   artifact cache that makes sweeps incremental across processes.
@@ -31,7 +31,7 @@ Subcommands:
   hardness / config-cell tables), ``slowest`` (top spans by duration),
   ``errors`` (failures grouped by error class), ``export`` (Prometheus
   text snapshot), ``correlate <request-id>`` (one serving request's
-  full span tree — serve, coalesced batches, pipeline stages).
+  full span tree — serve, pipeline stages, model calls).
 * ``obs`` — observability v2 tools: ``report`` prints the efficiency
   view (EX next to metered tokens and simulated cost per system, live
   runs reconciled exactly against the metrics registry), ``diff``
@@ -1015,9 +1015,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Boot a long-lived HTTP service over the benchmark context: "
             "POST /v1/generate, /v1/lint, /v1/execute, /v1/explain plus "
-            "GET /healthz and /metrics (Prometheus text).  Generations "
-            "are coalesced into batches, rate-limited per tenant, and "
-            "share the artifact cache with batch sweeps — pass "
+            "GET /healthz and /metrics (Prometheus text).  Requests are "
+            "rate-limited per tenant, bounded by per-request deadlines, "
+            "and share the artifact cache with batch sweeps — pass "
             "--cache-dir to serve from (and extend) a warmed disk cache."
         ),
     )

@@ -2,9 +2,9 @@
 
 A :class:`Corpus` holds a cross-domain ``train`` split (in-context example
 candidates and SFT data), a ``dev`` split (evaluation questions over unseen
-databases), per-database rows, and a lazily built
-:class:`~repro.db.sqlite_backend.DatabasePool` for execution-accuracy
-evaluation.
+databases), per-database rows, and a
+:class:`~repro.db.sqlite_backend.DatabasePool` per execution backend for
+execution-accuracy evaluation.
 
 :func:`spider_realistic` derives the robustness variant of a dataset by
 paraphrasing explicit column mentions out of the questions, mirroring the
@@ -60,7 +60,10 @@ class Corpus:
         self._pools: Dict[str, DatabasePool] = {}
 
     def pool(self, backend=None) -> DatabasePool:
-        """Databases for every schema in the corpus (built on first use).
+        """Databases for every schema in the corpus.
+
+        The SQLite pool is the one :func:`build_corpus` validated the
+        gold queries on; another backend's is built on first use.
 
         Args:
             backend: optional execution-backend name or instance; each
@@ -100,10 +103,25 @@ def build_corpus(config: Optional[CorpusConfig] = None) -> Corpus:
     cross-domain exactly like Spider: no evaluation database is ever seen in
     the example pool.
 
+    Gold queries are validated on the SQLite databases of the corpus's
+    own pool, so :meth:`Corpus.pool` serves the databases built here
+    instead of building them again.
+
     Raises:
         DatasetError: if the domain restriction leaves a split empty.
     """
     config = config or CorpusConfig()
+    pool = DatabasePool()
+    try:
+        corpus = _generate(config, pool)
+    except BaseException:
+        pool.close()
+        raise
+    corpus._pools[pool.backend_name] = pool
+    return corpus
+
+
+def _generate(config: CorpusConfig, pool: DatabasePool) -> Corpus:
     wanted = set(config.domains) if config.domains is not None else None
 
     train_examples: List[Example] = []
@@ -119,7 +137,10 @@ def build_corpus(config: Optional[CorpusConfig] = None) -> Corpus:
         data = populate(spec, seed=config.seed)
         rows[spec.db_id] = data
         count = config.dev_per_db if spec.group == "dev" else config.train_per_db
-        generated = generate_examples(schema, data, count, seed=config.seed)
+        generated = generate_examples(
+            schema, data, count, seed=config.seed,
+            database=pool.add(schema, data),
+        )
         # Hardness is read off the template's AST, so the corpus never
         # parses its own gold SQL; every generated query round-trips
         # (``parse(unparse(ast)) == ast``), so the bucket is the one a

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ...db.sqlite_backend import Database
 from ...schema.model import Column, DatabaseSchema, Table
 from ...sql.ast_nodes import (
     AndCondition,
@@ -1087,21 +1088,23 @@ def generate_examples(
     data: Rows,
     count: int,
     seed: int = 0,
-    require_execution: bool = True,
+    database: Optional[Database] = None,
 ) -> List[GeneratedExample]:
     """Generate up to ``count`` distinct examples for one database.
 
-    When ``require_execution`` is set, every gold query is executed against
-    a freshly built database and discarded if it fails (a structural bug) —
-    empty results are allowed for a small fraction, mirroring Spider.
+    Every gold query is executed against ``database`` (the caller's
+    build of ``schema`` and ``data``; a temporary one is built and
+    closed when it is ``None``) and discarded if it fails (a structural
+    bug) — empty results are allowed for a small fraction, mirroring
+    Spider.
     """
-    from ...db.sqlite_backend import Database
-
     rng = rng_from("questions", schema.db_id, str(seed))
     ctx = TemplateContext(schema, data, rng)
     weighted = [fn for fn, weight in TEMPLATES for _ in range(weight)]
 
-    database = Database.build(schema, data) if require_execution else None
+    owned = database is None
+    if owned:
+        database = Database.build(schema, data)
     seen = set()
     out: List[GeneratedExample] = []
     empty_allowed = max(2, count // 8)
@@ -1118,17 +1121,16 @@ def generate_examples(
             key = (example.question, example.sql)
             if key in seen:
                 continue
-            if database is not None:
-                rows = database.try_execute(example.sql)
-                if rows is None:
+            rows = database.try_execute(example.sql)
+            if rows is None:
+                continue
+            if not rows:
+                if empties >= empty_allowed:
                     continue
-                if not rows:
-                    if empties >= empty_allowed:
-                        continue
-                    empties += 1
+                empties += 1
             seen.add(key)
             out.append(example)
     finally:
-        if database is not None:
+        if owned:
             database.close()
     return out

@@ -51,8 +51,8 @@ class LLMClient(Protocol):
         """Answer several prompts, preserving input order.
 
         The reference implementations loop over :meth:`generate`; real
-        backends can override with one batched request (or request
-        coalescing) without touching any caller.
+        backends can override with one batched request without
+        touching any caller.
         """
         ...
 

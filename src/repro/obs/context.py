@@ -1,16 +1,14 @@
 """Thread-local observability context: labels that follow a request.
 
-A serving request enters on one HTTP thread, its generate call may be
-dispatched from the coalescer's thread, and a sweep evaluates examples
-on arbitrary pool workers — yet token counts, journal entries and spans
-all need to say *which* cell/tenant/request produced them.  This module
+A serving request runs on one HTTP thread, and a sweep evaluates
+examples on arbitrary pool workers — yet token counts, journal entries
+and spans all need to say *which* cell/tenant/request produced them.  This module
 carries that attribution as a small thread-local stack of label dicts:
 
 * :func:`bind` pushes labels for the duration of a ``with`` block
   (entries shadow outer bindings key-by-key);
 * :func:`snapshot` returns the merged view — a plain dict that can be
-  captured on one thread and carried to another (the coalescer stores
-  it on each queued entry);
+  captured on one thread and carried to another;
 * :func:`current_request_id` is the common special case.
 
 Only short, low-cardinality strings belong here (``cell``, ``tenant``,
@@ -70,7 +68,7 @@ def snapshot() -> Dict[str, str]:
     """The merged label view of the calling thread (innermost wins).
 
     The returned dict is a copy — safe to store and read from another
-    thread (how the coalescer preserves attribution across dispatch).
+    thread.
     """
     merged: Dict[str, str] = {}
     for frame in _stack():

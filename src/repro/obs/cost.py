@@ -89,7 +89,7 @@ class CostMeter:
     """Records per-call token counts and simulated dollar cost.
 
     One meter per metrics registry; every recording site (the pipeline's
-    generate artifact, the serving coalescer) funnels through
+    generate artifact, batch and served alike) funnels through
     :meth:`record`, which stamps the attribution labels bound in the
     calling thread's :mod:`~repro.obs.context` — or an explicitly
     captured snapshot, for calls completed on another thread.

@@ -56,8 +56,6 @@ M_LINT_DIAGNOSTICS = "repro_lint_diagnostics_total"
 M_LINT_SHORT_CIRCUIT = "repro_lint_short_circuit_total"
 M_HTTP_REQUESTS = "repro_http_requests_total"
 M_HTTP_LATENCY = "repro_http_request_seconds"
-M_SERVE_COALESCE_BATCH = "repro_serve_coalesce_batch_size"
-M_SERVE_COALESCED = "repro_serve_coalesced_requests_total"
 M_SERVE_RATE_LIMITED = "repro_serve_rate_limited_total"
 M_SERVE_INFLIGHT = "repro_serve_inflight_requests"
 M_SQL_TRANSPILE = "repro_sql_transpile_seconds_total"
@@ -67,9 +65,6 @@ M_REPAIR_ROUNDS = "repro_repair_rounds_total"
 M_REPAIR_RECOVERED = "repro_repair_recovered_total"
 M_SEMANTIC_DEDUP = "repro_semantic_dedup_total"
 M_BUILD_INFO = "repro_build_info"
-
-#: Fixed batch-size buckets for the request coalescer histogram.
-BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 #: Fixed latency buckets (seconds): sub-millisecond pipeline stages up
 #: to multi-second remote API calls.

@@ -243,12 +243,12 @@ def request_ids(spans: Iterable[Span]) -> List[str]:
 def correlate(spans: Iterable[Span], request_id: str) -> Dict[str, object]:
     """One request's full span tree, rooted at its ``request`` span.
 
-    Children are linked by parent span id — this follows a request
-    across threads, because the coalescer parents its per-member batch
-    spans onto the request's own ``generate`` stage span even though
-    the batch was dispatched elsewhere.  Spans stamped with a matching
-    ``request`` attribute whose parent chain was lost (e.g. a rotated
-    segment) are adopted under the root, so the tree stays single-rooted.
+    Children are linked by parent span id, which also follows a span
+    recorded on another thread when it names its parent explicitly
+    (``Tracer.span(..., parent_id=...)``).  Spans stamped with a
+    matching ``request`` attribute whose parent chain was lost (e.g. a
+    rotated segment) are adopted under the root, so the tree stays
+    single-rooted.
 
     Returns a nested node dict: ``{"span": <span>, "children": [node…]}``
     with children ordered by start time.

@@ -1,293 +1,89 @@
-"""Request coalescing: many concurrent generates, few model calls.
+"""The guard around every served model call.
 
-Under concurrent serving traffic, issuing one ``llm.generate`` per HTTP
-request wastes the backend's batching ability.  The
-:class:`GenerateCoalescer` funnels every pending generation through a
-single dispatcher thread that collects requests for a short window
-(``max_wait_s``) or until ``max_batch`` accumulate, then issues **one**
-``generate_batch`` call for the lot and distributes results back to the
-waiting request threads.
+:class:`GenerateCoalescer` calls the model on the caller's own thread,
+one ``generate_batch([prompt])`` per generate, with the request's
+deadline and the shared
+:class:`~repro.resilience.breaker.CircuitBreaker` around that call.
+Concurrent requests therefore reach the backend concurrently; there is
+no dispatcher thread, queue or batching window to wait in, and the call
+runs inside the request's own ``generate`` stage span and context.
 
-The :class:`~repro.resilience.breaker.CircuitBreaker` guards the
-dispatch: an open circuit fails the whole batch fast with
-:class:`~repro.errors.CircuitOpenError` instead of hammering a dead
-backend once per request.
+The order of checks:
 
-:class:`CoalescingClient` wraps this as an
-:class:`~repro.llm.interface.LLMClient`, delegating ``model_id`` and
-``fingerprint()`` to the inner client so the pipeline's
-content-addressed ``generate`` artifacts keep the *same cache keys* as
-batch sweeps — a question answered during a sweep is a warm cache hit
-when it arrives over HTTP, and vice versa.
+1. an exhausted budget raises :class:`~repro.errors.DeadlineExceededError`
+   before the backend is called;
+2. an open circuit raises :class:`~repro.errors.CircuitOpenError`
+   before the backend is called;
+3. one backend call, whose outcome the breaker records (so a half-open
+   probe always reports back);
+4. a call that overran its budget raises ``DeadlineExceededError``
+   after it returns, so its result is never cached.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 from ..errors import CircuitOpenError, DeadlineExceededError
 from ..llm.interface import GenerationResult, LLMClient
-from ..obs import context as obs_context
-from ..obs.metrics import (
-    BATCH_BUCKETS,
-    M_SERVE_COALESCE_BATCH,
-    M_SERVE_COALESCED,
-    MetricsRegistry,
-)
-from ..obs.trace import NULL_TRACER
 from ..resilience.breaker import CircuitBreaker
 
 
-class _Pending:
-    """One enqueued generation awaiting dispatch.
-
-    ``request_id`` and ``parent_span`` are captured on the *request*
-    thread at enqueue time: the dispatcher thread has neither the
-    ambient context nor the caller's span stack, so the per-member
-    ``coalesce`` spans it emits parent onto these captured ids — the
-    link that keeps a request's trace single-rooted even when its
-    generate ran inside a shared batch.
-    """
-
-    __slots__ = (
-        "prompt", "sample_tag", "event", "result", "error",
-        "request_id", "parent_span",
-    )
-
-    def __init__(self, prompt, sample_tag: str,
-                 request_id: str = "", parent_span: str = ""):
-        self.prompt = prompt
-        self.sample_tag = sample_tag
-        self.event = threading.Event()
-        self.result: Optional[GenerationResult] = None
-        self.error: Optional[BaseException] = None
-        self.request_id = request_id
-        self.parent_span = parent_span
-
-
 class GenerateCoalescer:
-    """Batches concurrent generation requests into ``generate_batch``.
+    """Breaker- and deadline-guarded model calls on the caller's thread.
 
     Args:
         llm: the backing client.
-        breaker: circuit breaker consulted before every dispatch
-            (``None`` disables the guard).
-        max_batch: dispatch as soon as this many requests are pending.
-        max_wait_s: dispatch at latest this long after the first
-            pending request arrived (the batching window).
-        metrics: registry for batch-size/coalesce counters (optional).
-        tracer: span sink for per-member ``coalesce`` spans (the
-            default no-op tracer skips them entirely).
+        breaker: circuit breaker consulted before every call (``None``
+            disables the guard).
+        clock: monotonic time source the overrun check reads.
     """
 
     def __init__(
         self,
         llm: LLMClient,
         breaker: Optional[CircuitBreaker] = None,
-        max_batch: int = 8,
-        max_wait_s: float = 0.005,
-        metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
-        tracer=NULL_TRACER,
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.llm = llm
         self.breaker = breaker
-        self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
-        self.metrics = metrics
         self.clock = clock
-        self.tracer = tracer
-        self._cond = threading.Condition()
-        self._queue: List[_Pending] = []
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, name="serve-coalescer", daemon=True
-        )
-        self._thread.start()
-
-    # -- request side --------------------------------------------------------
 
     def generate(
         self, prompt, sample_tag: str = "", timeout_s: Optional[float] = None
     ) -> GenerationResult:
-        """Enqueue one generation; block until its batch completes.
+        """One model call for ``prompt``.
 
         Raises:
-            DeadlineExceededError: ``timeout_s`` elapsed first.
-            CircuitOpenError: the breaker refused the dispatch.
-            RuntimeError: the coalescer is closed.
+            DeadlineExceededError: ``timeout_s`` was already spent, or
+                the call took longer than it.
+            CircuitOpenError: the breaker refused the call.
         """
-        parent = self.tracer.current_span() if self.tracer.enabled else None
-        entry = _Pending(
-            prompt, sample_tag,
-            request_id=obs_context.current_request_id(),
-            parent_span=parent.span_id if parent is not None else "",
-        )
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("coalescer is closed")
-            self._queue.append(entry)
-            self._cond.notify_all()
-        if not entry.event.wait(timeout=timeout_s):
+        if timeout_s is not None and timeout_s <= 0:
             raise DeadlineExceededError(
-                f"generation did not complete within {timeout_s:.3f}s"
+                "deadline exceeded before generation "
+                f"(over budget by {-timeout_s:.3f}s)"
             )
-        if entry.error is not None:
-            raise entry.error
-        assert entry.result is not None
-        return entry.result
-
-    # -- dispatch side -------------------------------------------------------
-
-    def _take_batch(self) -> List[_Pending]:
-        """Block until a batch is ready; empty list means shut down.
-
-        A batch is the head entry plus every queued entry sharing its
-        ``sample_tag`` (``generate_batch`` takes one tag per call), up
-        to ``max_batch``, collected over at most ``max_wait_s``.
-        """
-        with self._cond:
-            while not self._queue and not self._closed:
-                self._cond.wait()
-            if not self._queue:
-                return []
-            deadline = self.clock() + self.max_wait_s
-            while len(self._queue) < self.max_batch:
-                remaining = deadline - self.clock()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-                if self._closed and not self._queue:
-                    return []
-            tag = self._queue[0].sample_tag
-            batch: List[_Pending] = []
-            rest: List[_Pending] = []
-            for entry in self._queue:
-                if entry.sample_tag == tag and len(batch) < self.max_batch:
-                    batch.append(entry)
-                else:
-                    rest.append(entry)
-            self._queue = rest
-            if rest:
-                self._cond.notify_all()
-            return batch
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            batch = self._take_batch()
-            if not batch:
-                return
-            self._dispatch(batch)
-
-    def _dispatch(self, batch: List[_Pending]) -> None:
-        if self.metrics is not None:
-            self.metrics.observe(
-                M_SERVE_COALESCE_BATCH, len(batch), buckets=BATCH_BUCKETS
-            )
-            if len(batch) > 1:
-                self.metrics.counter_add(M_SERVE_COALESCED, len(batch))
-        # One "coalesce" span per batch member, each parented onto the
-        # span its request thread had open at enqueue time — the shared
-        # dispatch stays attributable per request.
-        span_cms: List = []
-        spans: List = []
-        if self.tracer.enabled:
-            for entry in batch:
-                cm = self.tracer.span(
-                    "coalesce", entry.request_id or "generate",
-                    parent_id=entry.parent_span,
-                    batch=len(batch),
-                    coalesced=len(batch) > 1,
-                    request=entry.request_id,
-                )
-                spans.append(cm.__enter__())
-                span_cms.append(cm)
-        try:
-            self._dispatch_batch(batch, spans)
-        finally:
-            for cm in reversed(span_cms):
-                cm.__exit__(None, None, None)
-
-    def _dispatch_batch(self, batch: List[_Pending], spans: List) -> None:
-        if self.breaker is not None and not self.breaker.allow():
-            error = CircuitOpenError(
+        breaker = self.breaker
+        if breaker is not None and not breaker.allow():
+            raise CircuitOpenError(
                 "llm circuit is open: backend failed repeatedly just now"
             )
-            for span in spans:
-                span.set("error_class", "CircuitOpenError")
-            for entry in batch:
-                entry.error = error
-                entry.event.set()
-            return
+        start = self.clock()
         try:
-            results = self.llm.generate_batch(
-                [entry.prompt for entry in batch],
-                sample_tag=batch[0].sample_tag,
-            )
-        except Exception as exc:  # noqa: BLE001 — distributed to waiters
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            for span in spans:
-                span.set("error_class", type(exc).__name__)
-            for entry in batch:
-                entry.error = exc
-                entry.event.set()
-            return
-        if self.breaker is not None:
-            self.breaker.record_success()
-        for entry, result in zip(batch, results):
-            entry.result = result
-            entry.event.set()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop the dispatcher; queued requests still drain first."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "GenerateCoalescer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class CoalescingClient:
-    """An :class:`~repro.llm.interface.LLMClient` facade over the
-    coalescer.
-
-    ``model_id`` and ``fingerprint()`` delegate to the wrapped client,
-    so cache keys built from :func:`~repro.llm.interface.client_fingerprint`
-    are identical with and without coalescing — warm artifacts flow
-    freely between sweeps and the server.
-    """
-
-    def __init__(self, coalescer: GenerateCoalescer):
-        self.coalescer = coalescer
-
-    @property
-    def model_id(self) -> str:
-        return self.coalescer.llm.model_id
-
-    def fingerprint(self) -> str:
-        from ..llm.interface import client_fingerprint
-
-        return client_fingerprint(self.coalescer.llm)
-
-    def generate(self, prompt, sample_tag: str = "") -> GenerationResult:
-        return self.coalescer.generate(prompt, sample_tag=sample_tag)
-
-    def generate_batch(
-        self, prompts: Sequence, sample_tag: str = ""
-    ) -> List[GenerationResult]:
-        return [
-            self.coalescer.generate(prompt, sample_tag=sample_tag)
-            for prompt in prompts
-        ]
+            [result] = self.llm.generate_batch([prompt], sample_tag=sample_tag)
+        except Exception:
+            if breaker is not None:
+                breaker.record_failure()
+            raise
+        if breaker is not None:
+            breaker.record_success()
+        if timeout_s is not None:
+            elapsed = self.clock() - start
+            if elapsed > timeout_s:
+                raise DeadlineExceededError(
+                    f"generation took {elapsed:.3f}s, over its "
+                    f"{timeout_s:.3f}s budget"
+                )
+        return result

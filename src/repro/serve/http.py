@@ -27,7 +27,7 @@ Every request lands in the shared
 ``repro_http_requests_total{path,status}``,
 ``repro_http_request_seconds{path}`` and the
 ``repro_serve_inflight_requests`` gauge — the same registry the
-coalescer and pipeline telemetry write to, so one ``/metrics`` scrape
+pipeline telemetry writes to, so one ``/metrics`` scrape
 tells the whole story.
 
 Every request also carries a correlation id: the server honours an
@@ -291,7 +291,7 @@ class SqlServer:
     """A serving endpoint: HTTP transport + service + shared registry.
 
     Args:
-        service: the serving core (owns plan, coalescer, limiter).
+        service: the serving core (owns plan, breaker, limiter).
         host / port: bind address; port 0 picks a free port (tests).
         threaded: ``True`` uses :class:`ThreadingHTTPServer` (one thread
             per connection); ``False`` a serial :class:`HTTPServer` —

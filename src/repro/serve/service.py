@@ -1,7 +1,7 @@
 """The transport-agnostic serving core.
 
 :class:`SqlService` owns one prepared run plan (builder, LLM behind the
-request coalescer, selection strategy) over a
+breaker and deadline guard, selection strategy) over a
 :class:`~repro.eval.harness.BenchmarkRunner` and answers the four
 operations the HTTP layer exposes — generate, lint, execute, explain —
 in terms of the *same* pipeline accessors batch sweeps use.  Because
@@ -19,12 +19,13 @@ Request processing enforces, in order:
 
 1. per-tenant token-bucket rate limiting (:class:`.ratelimit.RateLimiter`),
 2. a per-request deadline budget, checked between pipeline steps and
-   enforced inside blocking generation waits,
+   before and after every model call,
 3. the analyzer safety gate before any execution
    (:class:`~repro.errors.UnsafeSqlError` for fatal diagnostics on
    ``/v1/execute``; ``/v1/generate`` never executes a fatal candidate),
 4. the shared :class:`~repro.resilience.breaker.CircuitBreaker` on the
-   LLM path (via the coalescer).
+   LLM path (:class:`.coalesce.GenerateCoalescer`, which calls the model
+   on the request's own thread).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from ..prompt.organization import ExampleBlock
 from ..resilience.breaker import CircuitBreaker
 from ..sql.parser import parse_scope
 from ..sql.transpile import transpile
-from .coalesce import CoalescingClient, GenerateCoalescer
+from .coalesce import GenerateCoalescer
 from .ratelimit import RateLimiter
 
 
@@ -84,11 +85,12 @@ class _Deadline:
 
 
 class _DeadlineClient:
-    """Per-request LLM facade: same cache identity, bounded waits.
+    """Per-request LLM facade: same cache identity, guarded calls.
 
-    Delegates ``model_id``/``fingerprint`` to the shared coalescing
-    client (so ``generate`` artifact keys are unchanged) while capping
-    every blocking generation wait at the request's remaining budget.
+    Delegates ``model_id``/``fingerprint`` to the backing client (so
+    ``generate`` artifact keys are those of a batch sweep) and sends
+    every call through the breaker guard, bounded by the request's
+    remaining budget.
     """
 
     def __init__(self, coalescer: GenerateCoalescer, deadline: _Deadline):
@@ -147,11 +149,10 @@ class SqlService:
             selection strategy, model).
         metrics: registry shared with the HTTP layer's ``/metrics``.
         limiter: per-tenant rate limiter (default: 50 req/s, burst 100).
-        breaker: circuit breaker on the LLM dispatch path.
-        max_batch / max_wait_s: coalescer tuning.
+        breaker: circuit breaker on the LLM call path.
         clock: injectable monotonic clock (tests drive deadlines).
-        tracer: span sink shared by the request scope, the pipeline
-            stages and the coalescer, so ``dail-sql trace correlate``
+        tracer: span sink shared by the request scope and the pipeline
+            stages, so ``dail-sql trace correlate``
             can rebuild one request's tree.  ``None`` builds one from
             the configured trace directory (a no-op tracer when tracing
             is off); a tracer built here is owned and closed by
@@ -174,8 +175,6 @@ class SqlService:
         metrics: Optional[MetricsRegistry] = None,
         limiter: Optional[RateLimiter] = None,
         breaker: Optional[CircuitBreaker] = None,
-        max_batch: int = 8,
-        max_wait_s: float = 0.005,
         clock: Callable[[], float] = time.monotonic,
         tracer=None,
         feedback_rounds: Optional[int] = None,
@@ -197,19 +196,12 @@ class SqlService:
         self._own_tracer = tracer is None
         self.tracer = build_tracer() if tracer is None else tracer
         self.collector = _ServeCollector(self.metrics, tracer=self.tracer)
-        base_plan = runner.prepare(self.config)
+        #: The served plan: a sweep's.  Each request swaps its ``llm``
+        #: for a :class:`_DeadlineClient` over :attr:`coalescer`.
+        self.plan = runner.prepare(self.config)
         self.coalescer = GenerateCoalescer(
-            base_plan.llm,
-            breaker=self.breaker,
-            max_batch=max_batch,
-            max_wait_s=max_wait_s,
-            metrics=self.metrics,
-            clock=clock,
-            tracer=self.tracer,
+            self.plan.llm, breaker=self.breaker, clock=clock
         )
-        #: The served plan: identical to a sweep's except generation is
-        #: routed through the coalescer (same cache fingerprint).
-        self.plan = replace(base_plan, llm=CoalescingClient(self.coalescer))
 
     # -- request scope -------------------------------------------------------
 
@@ -221,8 +213,8 @@ class SqlService:
         rate-limit token, the context labels cost samples are stamped
         with (tenant + request id), the request's
         :func:`~repro.sql.parser.parse_scope`, and the root ``request``
-        span the per-stage and coalesce spans hang off — the tree
-        ``dail-sql trace correlate`` reconstructs."""
+        span the per-stage spans (model calls included) hang off — the
+        tree ``dail-sql trace correlate`` reconstructs."""
         self.limiter.acquire(request.tenant, request_id=request_id)
         with obs_context.bind(tenant=request.tenant,
                               request_id=request_id), parse_scope():
@@ -397,7 +389,7 @@ class SqlService:
     ) -> Tuple[List[ExampleBlock], Prompt]:
         """Select → build: the prompt a generate sends.
 
-        Selection runs the served plan with generation waits capped at
+        Selection runs the served plan with its model calls bounded by
         the request deadline (the DAIL preliminary pass generates).
         """
         schema = self.pipeline.dataset.schema(request.db_id)
@@ -412,9 +404,7 @@ class SqlService:
         return blocks, prompt
 
     def close(self) -> None:
-        """Stop the coalescer's dispatcher thread (and a tracer built
-        here, flushing its spans)."""
-        self.coalescer.close()
+        """Close a tracer built here, flushing its spans."""
         if self._own_tracer:
             self.tracer.close()
 

@@ -160,6 +160,29 @@ class TestCorpus:
         with pytest.raises(DatasetError):
             build_corpus(CorpusConfig(domains=["pets_1"]))  # dev only
 
+    def test_each_database_is_built_once(self, monkeypatch):
+        # Gold queries are validated on the pool's own databases, so the
+        # pool a run asks for afterwards builds nothing more.
+        built = []
+        original = Database.build.__func__
+
+        def counting(cls, schema, rows, path=None):
+            built.append(schema.db_id)
+            return original(cls, schema, rows, path)
+
+        monkeypatch.setattr(Database, "build", classmethod(counting))
+        with build_corpus(CorpusConfig(seed=0, train_per_db=5,
+                                       dev_per_db=5)) as built_corpus:
+            pool = built_corpus.pool()
+            assert built_corpus.pool() is pool
+            db_ids = sorted(set(built_corpus.train.schemas)
+                            | set(built_corpus.dev.schemas))
+            assert pool.db_ids() == db_ids
+            for db_id in db_ids:  # this thread's databases are open
+                assert pool.get(db_id).try_execute("SELECT 1") == [(1,)]
+        assert len(db_ids) == len(DOMAINS) == 26
+        assert sorted(built) == db_ids
+
 
 #: SHA-256 of every example of the full-size corpus (train then dev, each
 #: ``Example.to_json()``, ``json.dumps(..., sort_keys=True)``) per seed.

@@ -136,11 +136,11 @@ REQUEST_TRACE = [
           request="req-1"),
     rspan("stage", "select", "2", parent="1", t0=1.1, request="req-1"),
     rspan("stage", "generate", "3", parent="1", t0=1.2, request="req-1"),
-    # the coalescer parents the batch-member span onto the requester's
-    # generate stage even though it ran on the dispatch thread
+    # a span recorded on another thread, parented explicitly onto the
+    # requester's generate stage
     rspan("coalesce", "req-1", "4", parent="3", t0=1.3, batch=2,
           coalesced=True, request="req-1"),
-    # a stranger sharing the batch: same dispatch, different request
+    # another request whose span lost its parent
     rspan("request", "req-2", "5", t0=1.05, request="req-2"),
     rspan("coalesce", "req-2", "6", parent="7", t0=1.3, request="req-2"),
 ]

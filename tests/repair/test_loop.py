@@ -80,8 +80,8 @@ class TestServedRepair:
                    if r.error_class.startswith("exec:")
                    and after[r.example_id].repair_won_round > 0]
         assert targets, "no execution failure recovered by the sweep"
-        with SqlService(fb_runner(corpus), CONFIG, metrics=MetricsRegistry(),
-                        max_wait_s=0.001) as service:
+        with SqlService(fb_runner(corpus), CONFIG,
+                        metrics=MetricsRegistry()) as service:
             for before in targets:
                 served = service.generate(GenerateRequest(
                     question=before.question, db_id=before.db_id,

@@ -22,9 +22,7 @@ def fresh_runner(corpus):
 
 @pytest.fixture()
 def fresh_service(fresh_runner):
-    service = SqlService(
-        fresh_runner, metrics=MetricsRegistry(), max_wait_s=0.001
-    )
+    service = SqlService(fresh_runner, metrics=MetricsRegistry())
     yield service
     service.close()
 
@@ -34,6 +32,6 @@ def shared_service(corpus):
     """One service per test module — for read-style assertions that
     don't care about cache temperature."""
     runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(), seed=3)
-    service = SqlService(runner, metrics=MetricsRegistry(), max_wait_s=0.001)
+    service = SqlService(runner, metrics=MetricsRegistry())
     yield service
     service.close()

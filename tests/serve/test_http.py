@@ -52,9 +52,7 @@ def get(base: str, path: str) -> tuple:
 
 def fresh_server(corpus, *, threaded: bool = True, **service_kwargs) -> SqlServer:
     runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(), seed=3)
-    service = SqlService(
-        runner, metrics=MetricsRegistry(), max_wait_s=0.001, **service_kwargs
-    )
+    service = SqlService(runner, metrics=MetricsRegistry(), **service_kwargs)
     return SqlServer(service, port=0, threaded=threaded).start_background()
 
 
@@ -98,7 +96,7 @@ class TestEndpoints:
                 assert payload == expected, endpoint
                 assert headers["X-Request-Id"] == f"golden-{endpoint}"
 
-    def test_metrics_exposes_request_latency_and_coalesce_counters(
+    def test_metrics_exposes_request_latency_counters(
         self, base, dev_example
     ):
         post(base, "/v1/generate", {
@@ -110,7 +108,6 @@ class TestEndpoints:
         names = {name for name, _, _ in samples}
         assert "repro_http_requests_total" in names
         assert "repro_http_request_seconds_count" in names
-        assert "repro_serve_coalesce_batch_size_count" in names
 
 
 class TestStatusMapping:

@@ -50,7 +50,7 @@ def test_served_sql_equals_sweep_sql(corpus, name, samples, rounds):
     )
     with SqlService(
         runner_for(corpus, rounds), config,
-        metrics=MetricsRegistry(), max_wait_s=0.001,
+        metrics=MetricsRegistry(),
         limiter=RateLimiter(rate=1e6, capacity=1e6),
         feedback_rounds=rounds,
     ) as service:

@@ -3,9 +3,9 @@
 Covers the request-id lifecycle (accept / sanitise / mint / echo), the
 structured access log, the self-describing ``repro_build_info`` gauge,
 and the acceptance property of the whole correlation plane: one
-request's span tree reconstructs identically whether its generate call
-ran alone (serial server) or inside a coalesced batch (threaded
-server under concurrent load).
+request's span tree reconstructs identically whether it ran alone
+(serial server) or next to other requests (threaded server under
+concurrent load).
 """
 
 from __future__ import annotations
@@ -92,8 +92,7 @@ class TestAccessLog:
         log_path = tmp_path / "access.jsonl"
         runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(),
                                  seed=3)
-        service = SqlService(runner, metrics=MetricsRegistry(),
-                             max_wait_s=0.001)
+        service = SqlService(runner, metrics=MetricsRegistry())
         server = SqlServer(service, port=0,
                            access_log=AccessLog(log_path)).start_background()
         with server:
@@ -148,8 +147,7 @@ class TestBuildInfo:
 def traced_server(corpus, trace_path, threaded):
     runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(), seed=3)
     tracer = Tracer(trace_path)
-    service = SqlService(runner, metrics=MetricsRegistry(),
-                         max_wait_s=0.01, tracer=tracer)
+    service = SqlService(runner, metrics=MetricsRegistry(), tracer=tracer)
     return SqlServer(service, port=0, threaded=threaded).start_background(), \
         tracer
 
@@ -209,8 +207,8 @@ class TestCorrelationUnderCoalescing:
             serial_tree = tracefile.correlate(serial_spans, rid)
             threaded_tree = tracefile.correlate(threaded_spans, rid)
             # identical skeletons: one request root, the same stages in
-            # the same order, a coalesce leaf under the same stages —
-            # whether or not the generate shared a batch with strangers.
+            # the same order — whether or not other requests ran
+            # alongside.
             assert tree_shape(serial_tree) == tree_shape(threaded_tree), rid
             for node in serial_tree["children"]:
                 attrs = node["span"]["attrs"]
@@ -242,4 +240,3 @@ class TestCorrelationUnderCoalescing:
             span["attrs"].get("request", "solo-1") == "solo-1"
             for span in spans
         )
-        assert any(span["kind"] == "coalesce" for span in spans)

@@ -23,7 +23,6 @@ from repro.eval.harness import BenchmarkRunner, RunConfig
 from repro.obs.metrics import (
     M_CACHE_REQUESTS,
     M_SEMANTIC_DEDUP,
-    M_SERVE_COALESCE_BATCH,
     MetricsRegistry,
 )
 from repro.serve import SqlService
@@ -82,6 +81,39 @@ class TestGenerate:
                 deadline_s=0.0,
             ))
 
+    def test_overrunning_model_call_raises_and_caches_nothing(
+        self, fresh_runner, dev_example
+    ):
+        skew = [0.0]
+        request = GenerateRequest(
+            question=dev_example.question, db_id=dev_example.db_id,
+        )
+        with SqlService(
+            fresh_runner, metrics=MetricsRegistry(),
+            clock=lambda: time.monotonic() + skew[0],
+        ) as service:
+            inner = service.coalescer.llm
+
+            class Stalling:
+                model_id = inner.model_id
+
+                def fingerprint(self):
+                    return inner.fingerprint()
+
+                def generate_batch(self, prompts, sample_tag=""):
+                    skew[0] += 3600.0  # the call outlives any budget
+                    return inner.generate_batch(prompts, sample_tag)
+
+            service.coalescer.llm = Stalling()
+            with pytest.raises(DeadlineExceededError):
+                service.generate(request)
+            assert not fresh_runner.cache.stage_entries("generate")
+
+            service.coalescer.llm = inner
+            response = service.generate(request)
+        assert response.cached is False
+        assert fresh_runner.cache.stage_entries("generate")
+
     def test_generation_lands_in_shared_metrics(
         self, fresh_service, dev_example
     ):
@@ -92,7 +124,6 @@ class TestGenerate:
         assert registry.counter_value(
             M_CACHE_REQUESTS, {"stage": "generate"}
         ) >= 1
-        assert registry.histogram_count(M_SERVE_COALESCE_BATCH) >= 1
 
 
 #: A weak model: dead first candidates and duplicate samples are common.
@@ -101,8 +132,7 @@ WEAK = RunConfig(model="llama-13b", representation="CR_P")
 
 def weak_service(corpus, **kwargs):
     runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(), seed=3)
-    return SqlService(runner, WEAK, metrics=MetricsRegistry(),
-                      max_wait_s=0.001, **kwargs)
+    return SqlService(runner, WEAK, metrics=MetricsRegistry(), **kwargs)
 
 
 def dead_example(corpus):
@@ -285,7 +315,6 @@ class TestRateLimiting:
             runner,
             metrics=MetricsRegistry(),
             limiter=RateLimiter(rate=0.001, capacity=1),
-            max_wait_s=0.001,
         ) as service:
             service.lint(LintRequest(
                 db_id=dev_example.db_id, sql=dev_example.query,

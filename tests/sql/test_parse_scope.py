@@ -173,8 +173,7 @@ class TestLifetime:
                                  seed=3)
         example = corpus.dev.examples[0]
         memos = []
-        with SqlService(runner, metrics=MetricsRegistry(),
-                        max_wait_s=0.001) as service:
+        with SqlService(runner, metrics=MetricsRegistry()) as service:
             for padding in ("", " "):
                 service.lint(LintRequest(
                     db_id=example.db_id, sql=example.query + padding
