@@ -94,20 +94,36 @@ class TfidfEmbedder:
 
     def transform(self, text: str) -> Vector:
         """Embed one text. Unknown features hash onto extended indices."""
+        indices, weights = self._embed(text)
+        return dict(zip(indices.tolist(), weights.tolist()))
+
+    def _embed(self, text: str) -> Tuple[np.ndarray, np.ndarray]:
+        """One text's vector as (indices, weights) arrays, in order of each
+        index's first appearance.
+
+        A feature weighs ``(1 + log(count)) * idf``, the log taken in
+        Python.  An unknown feature hashes past the vocabulary with the
+        default IDF, and features whose hashes collide add up in order of
+        appearance.  The norm's sum is taken in Python in entry order.
+        """
         counts = Counter(_features(text))
-        vector: Vector = {}
-        base = len(self._index)
-        for feat, count in counts.items():
-            idf = self._idf.get(feat, self._default_idf)
-            index = self._index.get(feat)
-            if index is None:
-                index = base + (hash_feature(feat) % 4096)
-            weight = (1 + math.log(count)) * idf
-            vector[index] = vector.get(index, 0.0) + weight
-        norm = math.sqrt(sum(w * w for w in vector.values()))
+        weights = np.array([1 + math.log(count) for count in counts.values()])
+        weights *= [self._idf.get(feat, self._default_idf) for feat in counts]
+        found = [self._index.get(feat, -1) for feat in counts]
+        indices = np.array(found, np.intp)
+        if -1 in found:
+            vector: Vector = {}
+            base = len(self._index)
+            for feat, index, weight in zip(counts, found, weights.tolist()):
+                if index < 0:
+                    index = base + (hash_feature(feat) % 4096)
+                vector[index] = vector.get(index, 0.0) + weight
+            indices = np.fromiter(vector, np.intp, len(vector))
+            weights = np.fromiter(vector.values(), np.float64, len(vector))
+        norm = math.sqrt(sum((weights * weights).tolist()))
         if norm > 0:
-            vector = {i: w / norm for i, w in vector.items()}
-        return vector
+            weights = weights / norm
+        return indices, weights
 
     def fit_transform(self, texts: Sequence[str]) -> List[Vector]:
         return [
@@ -150,22 +166,27 @@ class TfidfIndex:
     pool in a few array operations.
 
     Each nonzero of the pool is stored twice.  Row-major (CSR-style),
-    ``features``/``weights``/``rows`` hold every candidate's nonzeros in
-    that vector's own feature order, shortest candidates first, so the
-    candidates shorter than any given length are a prefix.  Feature-major
-    (an inverted index), ``posting_rows``/``posting_weights`` hold them
-    feature by feature, the entries of vocabulary feature ``f`` at
-    ``ptr[f]:ptr[f + 1]``.  ``rows`` and ``posting_rows`` name candidates
-    by pool index.  No per-candidate dicts are kept.
+    ``features``/``weights`` hold every candidate's nonzeros in that
+    vector's own feature order, candidate ``i`` at ``row_starts[i]`` for
+    ``lengths[i]`` entries.  Feature-major (an inverted index),
+    ``posting_rows``/``posting_weights`` hold them feature by feature, the
+    entries of vocabulary feature ``f`` at ``ptr[f]:ptr[f + 1]``, naming
+    candidates by pool index.  No per-candidate dicts are kept.
 
-    :meth:`scores` equals :func:`cosine` bit for bit.  Every weight is
-    positive, so only shared features change a sum, and ``np.bincount``
-    adds its weights in array order.  :func:`cosine` sums over the shorter
-    of its two vectors in that vector's order, so :meth:`scores` sums the
-    candidates shorter than the target row by row, and the others over the
-    target's postings in the target's feature order.  Products are
-    ``candidate weight * target weight`` either way, which is exact to
-    swap.
+    :meth:`posting_scores` scores every candidate in one pass over the
+    target's postings.  Every weight is positive, so only shared features
+    change a sum, and ``np.bincount`` adds its weights in array order: a
+    posting-order score sums the products in the target's feature order.
+    :func:`cosine` sums over the shorter of its two vectors in that
+    vector's order, so the posting-order score *is* the cosine for every
+    candidate at least as long as the target.  For a shorter candidate it
+    may differ from the cosine in the last bits, and
+    :meth:`PostingScores.exact` re-sums such candidates row by row, in the
+    candidate's own feature order.  Products are ``candidate weight *
+    target weight`` either way, which is exact to swap.  :meth:`scores`
+    re-sums every shorter candidate and so equals :func:`cosine` bit for
+    bit; the selection strategies re-sum only the few that can decide
+    their top k.
     """
 
     def __init__(self, texts: Sequence[str]):
@@ -175,18 +196,11 @@ class TfidfIndex:
         self._lengths = np.fromiter(
             (len(row) for row, _ in rows), np.intp, len(rows)
         )
-        by_length = np.argsort(self._lengths, kind="stable")
-        self._sorted_lengths = self._lengths[by_length]
-        self._row_ends = np.concatenate([[0], np.cumsum(self._sorted_lengths)])
-        self._features = np.concatenate(
-            [np.empty(0, np.intp), *(rows[row][0] for row in by_length)]
-        )
-        self._weights = np.concatenate(
-            [np.empty(0, np.float64), *(rows[row][1] for row in by_length)]
-        )
-        self._rows = np.repeat(by_length, self._sorted_lengths)
+        self._row_starts = np.cumsum(self._lengths) - self._lengths
+        self._features = np.concatenate([np.empty(0, np.intp), *(f for f, _ in rows)])
+        self._weights = np.concatenate([np.empty(0, np.float64), *(w for _, w in rows)])
         postings = np.argsort(self._features, kind="stable")
-        self._posting_rows = self._rows[postings]
+        self._posting_rows = np.repeat(np.arange(len(rows)), self._lengths)[postings]
         self._posting_weights = self._weights[postings]
         self._ptr = np.zeros(self._vocab + 1, dtype=np.intp)
         np.cumsum(
@@ -198,43 +212,79 @@ class TfidfIndex:
 
     def scores(self, text: str) -> np.ndarray:
         """Cosine of ``text`` against every candidate, in pool order."""
-        target = self._embedder.transform(text)
-        features = np.fromiter(target, np.intp, len(target))
-        weights = np.fromiter(target.values(), np.float64, len(target))
+        return self.posting_scores(text).exact(np.arange(len(self)))
+
+    def posting_scores(self, text: str) -> "PostingScores":
+        """``text`` scored against every candidate in posting order."""
+        features, weights = self._embedder._embed(text)
         # Out-of-vocabulary features hash past the vocabulary and match no
         # candidate; they count only towards the target's norm and length.
         known = features < self._vocab
-        features, weights = features[known], weights[known]
-        return np.where(
-            self._lengths < len(target),
-            self._row_major_sums(features, weights, len(target)),
-            self._posting_sums(features, weights),
-        )
-
-    def _row_major_sums(
-        self, features: np.ndarray, weights: np.ndarray, shorter_than: int
-    ) -> np.ndarray:
-        """Dot products of the candidates shorter than ``shorter_than``
-        features, each summed in the candidate's own feature order."""
-        dense = np.zeros(self._vocab)
-        dense[features] = weights
-        end = self._row_ends[np.searchsorted(self._sorted_lengths, shorter_than)]
-        products = dense[self._features[:end]]
-        products *= self._weights[:end]
-        return np.bincount(self._rows[:end], products, minlength=len(self))
+        return PostingScores(self, features[known], weights[known], len(features))
 
     def _posting_sums(self, features: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Dot products of every candidate, summed in the order of
         ``features``: their postings, one feature after another."""
         starts = self._ptr[features]
         counts = self._ptr[features + 1] - starts
-        postings = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        postings += np.arange(len(postings))
+        postings = _ranges(starts, counts)
         products = np.repeat(weights, counts)
         products *= self._posting_weights[postings]
         return np.bincount(
             self._posting_rows[postings], products, minlength=len(self)
         )
+
+    def _row_sums(
+        self, features: np.ndarray, weights: np.ndarray, candidates: np.ndarray
+    ) -> np.ndarray:
+        """Dot products of ``candidates``, each summed in the candidate's
+        own feature order."""
+        dense = np.zeros(self._vocab)
+        dense[features] = weights
+        counts = self._lengths[candidates]
+        entries = _ranges(self._row_starts[candidates], counts)
+        products = dense[self._features[entries]]
+        products *= self._weights[entries]
+        return np.bincount(
+            np.repeat(np.arange(len(candidates)), counts), products,
+            minlength=len(candidates),
+        )
+
+
+class PostingScores:
+    """One target's posting-order scores against a :class:`TfidfIndex`
+    pool (``values``, in pool order), and the exact cosine of any
+    candidates on demand."""
+
+    __slots__ = ("values", "_index", "_features", "_weights", "_length")
+
+    def __init__(self, index: TfidfIndex, features: np.ndarray,
+                 weights: np.ndarray, length: int):
+        self.values = index._posting_sums(features, weights)
+        self._index = index
+        self._features = features
+        self._weights = weights
+        self._length = length
+
+    def exact(self, candidates: np.ndarray) -> np.ndarray:
+        """:func:`cosine` of the target against each of ``candidates``
+        (pool indices), bit for bit: the posting-order score where it is
+        exact, and a row-major re-sum for candidates shorter than the
+        target."""
+        scores = self.values[candidates]
+        shorter = self._index._lengths[candidates] < self._length
+        if shorter.any():
+            scores[shorter] = self._index._row_sums(
+                self._features, self._weights, candidates[shorter]
+            )
+        return scores
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i]:starts[i] + counts[i]`` for every ``i``, concatenated."""
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(len(out))
+    return out
 
 
 def top_k(query: Vector, candidates: Sequence[Vector], k: int) -> List[int]:

@@ -21,35 +21,35 @@ from .metrics import EvalReport
 __all__ = ["report_cost_usd", "cost_per_question_usd", "accuracy_per_dollar"]
 
 
-def report_cost_usd(report: EvalReport, model_id: str, n_samples: int = 1) -> float:
+def report_cost_usd(report: EvalReport, model_id: str) -> float:
     """Total USD cost of the report's API calls.
 
-    ``n_samples`` multiplies completion cost (self-consistency resamples
-    share the prompt when the API supports n>1 sampling, so the prompt is
-    charged once — the OpenAI billing model).
+    A record's ``completion_tokens`` already sum every sample of its
+    self-consistency vote and every feedback round, so the totals are
+    priced once.  Its ``prompt_tokens`` count the prompt once: resamples
+    share it when the API supports n>1 sampling (the OpenAI billing
+    model).
     """
     sheet = price_sheet(model_id)
     prompt_tokens = sum(r.prompt_tokens for r in report.records)
     completion_tokens = sum(r.completion_tokens for r in report.records)
     return (
         prompt_tokens / 1000.0 * sheet.prompt_per_1k
-        + completion_tokens * max(n_samples, 1) / 1000.0 * sheet.completion_per_1k
+        + completion_tokens / 1000.0 * sheet.completion_per_1k
     )
 
 
-def cost_per_question_usd(report: EvalReport, model_id: str,
-                          n_samples: int = 1) -> float:
+def cost_per_question_usd(report: EvalReport, model_id: str) -> float:
     """Average USD per evaluated question."""
     if len(report) == 0:
         raise EvaluationError("report has no records")
-    return report_cost_usd(report, model_id, n_samples) / len(report)
+    return report_cost_usd(report, model_id) / len(report)
 
 
-def accuracy_per_dollar(report: EvalReport, model_id: str,
-                        n_samples: int = 1) -> float:
+def accuracy_per_dollar(report: EvalReport, model_id: str) -> float:
     """Execution-accuracy points bought per dollar of spend (the paper's
     economic-efficiency framing)."""
-    cost = report_cost_usd(report, model_id, n_samples)
+    cost = report_cost_usd(report, model_id)
     if cost <= 0:
         return float("inf")
     return report.execution_accuracy * len(report) / cost

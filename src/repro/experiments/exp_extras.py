@@ -83,11 +83,9 @@ def run_cost(fast: bool = False, limit: Optional[int] = None) -> ExperimentResul
             "system": entry.name,
             "EX": percent(report.execution_accuracy),
             "USD/question": round(
-                cost_per_question_usd(report, entry.config.model,
-                                      entry.n_samples), 5),
+                cost_per_question_usd(report, entry.config.model), 5),
             "EX-points per $": round(
-                accuracy_per_dollar(report, entry.config.model,
-                                    entry.n_samples), 1),
+                accuracy_per_dollar(report, entry.config.model), 1),
         })
     return ExperimentResult(
         artifact_id="cost",

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
+from ..sql.parser import scope_memo
 from ..utils.text import STOPWORDS, snake_to_words
 from .model import DatabaseSchema
 
@@ -138,7 +139,25 @@ class SchemaLinker:
         return phrases
 
     def link(self, question: str) -> SchemaLinking:
-        """Link a question; returns all non-overlapping mentions."""
+        """Link a question; returns all non-overlapping mentions.
+
+        Inside a :func:`~repro.sql.parser.parse_scope` the linking is
+        memoised per (question, schema) for the rest of the scope, so DAIL
+        masking and the simulated model's two prompts share one; callers
+        must not mutate it.  Outside any scope nothing is memoised.
+        """
+        memo = scope_memo()
+        if memo is None:
+            return self._link(question)
+        # Keyed on the schema's identity; the entry holds the schema, so the
+        # id cannot be reused by another object while the scope lives.
+        key = (question, id(self.schema))
+        entry = memo.linkings.get(key)
+        if entry is None:
+            entry = memo.linkings[key] = (self.schema, self._link(question))
+        return entry[1]
+
+    def _link(self, question: str) -> SchemaLinking:
         tokens = _TOKEN_RE.findall(question)
         linking = SchemaLinking(question=question, tokens=tokens)
         lowered = [t.lower() for t in tokens]

@@ -20,12 +20,12 @@ most similar adjacent to the target question).
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..dataset.spider import Example, SpiderDataset
-from ..embed.tfidf import TfidfIndex
+from ..embed.tfidf import PostingScores, TfidfIndex
 from ..errors import PromptError
 from ..prompt.organization import ExampleBlock
 from ..sql.skeleton import SkeletonIndex
@@ -37,12 +37,25 @@ SELECTION_IDS = ("RD_S", "QTS_S", "MQS_S", "DAIL_S")
 #: Skeleton-similarity threshold for DAIL_S's structural pre-filter.
 DAIL_SKELETON_THRESHOLD = 0.35
 
+#: How far a posting-order score may sit below the k-th best and still be
+#: re-scored exactly.  It differs from the exact score by float rounding,
+#: about 1e-15 at most, so the bound is far wider than any gap it covers.
+_RESCORE_TOLERANCE = 1e-9
+
+#: Subtracted from a gate-failed DAIL_S key, placing it below every gated
+#: key: combined scores lie in [0, 1].
+_GATE_DROP = 2.0
+
 
 class SelectionStrategy:
     """Base class; subclasses implement :meth:`rank`."""
 
     id: str = ""
     name: str = ""
+
+    #: The :meth:`fingerprint`, once computed; anything that changes the
+    #: rankings after construction resets it.
+    _fingerprint: Optional[str] = None
 
     def __init__(self, candidates: SpiderDataset, seed: int = 0):
         self.candidates = candidates
@@ -63,17 +76,19 @@ class SelectionStrategy:
         parameters (:meth:`_fingerprint_extra`).  Selection artifacts in
         the cache are keyed by it, so rankings are shared across grid
         configs — and across processes — exactly when the strategy and
-        pool are identical.
+        pool are identical.  Computed once per strategy.
         """
-        from ..cache.keys import stable_digest
+        if self._fingerprint is None:
+            from ..cache.keys import stable_digest
 
-        return stable_digest(
-            "selection",
-            self.id,
-            self.seed,
-            self.candidates.fingerprint(),
-            list(self._fingerprint_extra()),
-        )
+            self._fingerprint = stable_digest(
+                "selection",
+                self.id,
+                self.seed,
+                self.candidates.fingerprint(),
+                list(self._fingerprint_extra()),
+            )
+        return self._fingerprint
 
     def _fingerprint_extra(self) -> Sequence[object]:
         """Subclass hook: extra parameters that change rankings."""
@@ -89,7 +104,7 @@ class SelectionStrategy:
         """Top-``k`` examples in prompt order (most similar last)."""
         if k <= 0:
             return []
-        order = self.rank(question, db_id, predicted_sql)[:k]
+        order = self.top_k(question, db_id, k, predicted_sql)
         blocks = []
         for index in reversed(order):
             example = self.candidates[index]
@@ -101,6 +116,17 @@ class SelectionStrategy:
                 )
             )
         return blocks
+
+    def top_k(
+        self,
+        question: str,
+        db_id: str,
+        k: int,
+        predicted_sql: Optional[str] = None,
+    ) -> List[int]:
+        """``rank(...)[:k]``; the similarity strategies find it without
+        ordering the whole pool."""
+        return self.rank(question, db_id, predicted_sql)[:k]
 
 
 class RandomSelection(SelectionStrategy):
@@ -116,12 +142,39 @@ class RandomSelection(SelectionStrategy):
         return order
 
 
-def _rank(scores: np.ndarray, gate: Optional[np.ndarray] = None) -> List[int]:
-    """Indices sorted by (gate failed, -score, index), best first."""
+def _order(scores: np.ndarray, gate: Optional[np.ndarray] = None) -> np.ndarray:
+    """Positions sorted by (gate failed, -score, position), best first."""
     keys = (np.arange(len(scores)), -scores)
     if gate is not None:
         keys += (~gate,)
-    return np.lexsort(keys).tolist()
+    return np.lexsort(keys)
+
+
+def _top_k(
+    keys: np.ndarray,
+    k: int,
+    exact: Callable[[np.ndarray], np.ndarray],
+    gate: Optional[np.ndarray] = None,
+) -> List[int]:
+    """The first ``k`` of :func:`_order` over exact scores and ``gate``,
+    from ``keys`` that are within rounding of the exact scores (with
+    gate-failed keys dropped below every gated one).
+
+    ``exact(near)`` returns the exact scores of the candidates ``near``.
+    Only the candidates whose key is within :data:`_RESCORE_TOLERANCE` of
+    the k-th best key are re-scored and sorted: any other candidate's
+    exact key is below those of the k candidates with the best keys, so
+    it cannot be among the first ``k``.
+    """
+    if k <= 0:
+        return []
+    if k < len(keys):
+        kth = np.partition(keys, len(keys) - k)[len(keys) - k]
+        near = np.flatnonzero(keys >= kth - _RESCORE_TOLERANCE)
+    else:
+        near = np.arange(len(keys))
+    order = _order(exact(near), None if gate is None else gate[near])
+    return near[order[:k]].tolist()
 
 
 class _EmbeddingSelection(SelectionStrategy):
@@ -148,8 +201,15 @@ class _EmbeddingSelection(SelectionStrategy):
     def _similarities(self, question: str, db_id: str) -> np.ndarray:
         return self._index.scores(self._target_text(question, db_id))
 
+    def _posting_scores(self, question: str, db_id: str) -> PostingScores:
+        return self._index.posting_scores(self._target_text(question, db_id))
+
     def rank(self, question, db_id, predicted_sql=None) -> List[int]:
-        return _rank(self._similarities(question, db_id))
+        return _order(self._similarities(question, db_id)).tolist()
+
+    def top_k(self, question, db_id, k, predicted_sql=None) -> List[int]:
+        scores = self._posting_scores(question, db_id)
+        return _top_k(scores.values, k, scores.exact)
 
 
 class QuestionSimilaritySelection(_EmbeddingSelection):
@@ -195,6 +255,7 @@ class MaskedQuestionSimilaritySelection(_EmbeddingSelection):
         for db_id in dataset.schemas:
             self._target_linkers[db_id] = dataset.linker(db_id)
         self._target_fingerprint = dataset.fingerprint()
+        self._fingerprint = None
 
     def for_target(
         self, dataset: SpiderDataset
@@ -222,9 +283,17 @@ class DailSelection(MaskedQuestionSimilaritySelection):
     """DAIL_S — masked-question similarity gated by skeleton similarity.
 
     Candidates whose gold-SQL skeleton is similar (≥ threshold) to the
-    preliminary predicted SQL are ranked ahead of the rest; ties broken by
-    masked-question similarity.  Without a predicted SQL this degrades to
-    MQS_S, as in the paper's ablation.
+    preliminary predicted SQL are ranked ahead of the rest, each group by
+    ``0.5 * question + 0.5 * skeleton`` similarity, then by pool index.
+    Without a predicted SQL this degrades to MQS_S, as in the paper's
+    ablation.
+
+    :meth:`rank` orders the whole pool with exact scores.  :meth:`top_k`
+    gives its first ``k`` from posting-order question scores (see
+    :class:`~repro.embed.tfidf.TfidfIndex`): gate-failed keys are dropped
+    below every gated one, the k-th best key is found with
+    ``np.partition``, and only the candidates within rounding of it are
+    re-scored exactly and sorted.
     """
 
     id = "DAIL_S"
@@ -246,11 +315,25 @@ class DailSelection(MaskedQuestionSimilaritySelection):
     def rank(self, question, db_id, predicted_sql=None) -> List[int]:
         question_scores = self._similarities(question, db_id)
         if predicted_sql is None:
-            return _rank(question_scores)
+            return _order(question_scores).tolist()
         skeleton_scores = self._skeletons.similarities(predicted_sql)
-        return _rank(
+        return _order(
             0.5 * question_scores + 0.5 * skeleton_scores,
             gate=skeleton_scores >= self.skeleton_threshold,
+        ).tolist()
+
+    def top_k(self, question, db_id, k, predicted_sql=None) -> List[int]:
+        if predicted_sql is None:
+            return super().top_k(question, db_id, k)
+        question_scores = self._posting_scores(question, db_id)
+        skeleton_scores = self._skeletons.similarities(predicted_sql)
+        gate = skeleton_scores >= self.skeleton_threshold
+        keys = 0.5 * question_scores.values + 0.5 * skeleton_scores
+        keys[~gate] -= _GATE_DROP
+        return _top_k(
+            keys, k,
+            lambda near: 0.5 * question_scores.exact(near) + 0.5 * skeleton_scores[near],
+            gate,
         )
 
 

@@ -538,14 +538,16 @@ class _Failure:
 
 
 class ScopeMemo:
-    """One parse scope's results: ASTs (or failures) per SQL string, and
-    canonical fingerprints per (SQL string, schema identity)."""
+    """One parse scope's results: ASTs (or failures) per SQL string,
+    canonical fingerprints per (SQL string, schema identity), and schema
+    linkings per (question, schema identity)."""
 
-    __slots__ = ("parses", "fingerprints")
+    __slots__ = ("parses", "fingerprints", "linkings")
 
     def __init__(self) -> None:
         self.parses: Dict[str, Union[Query, _Failure]] = {}
         self.fingerprints: Dict[Tuple[str, int], Tuple[object, Optional[str]]] = {}
+        self.linkings: Dict[Tuple[str, int], Tuple[object, object]] = {}
 
 
 class _ScopeLocal(threading.local):
@@ -562,8 +564,9 @@ def parse_scope() -> Iterator[None]:
     Inside the scope :func:`parse` parses each distinct string once and
     returns the same (frozen) AST to every later caller; a string that
     failed to parse raises a fresh, equal :class:`SQLSyntaxError` on each
-    later call.  :func:`~repro.sql.canonical.canonical_fingerprint` keeps
-    its results in the same memo.  The memo is dropped when the outermost
+    later call.  :func:`~repro.sql.canonical.canonical_fingerprint` and
+    :meth:`~repro.schema.linker.SchemaLinker.link` keep their results in
+    the same memo.  The memo is dropped when the outermost
     scope exits — a nested scope joins the enclosing one — so no result
     outlives the example or request that opened the scope.  Outside any
     scope nothing is memoised.

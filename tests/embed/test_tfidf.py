@@ -144,6 +144,50 @@ class TestOnePassFit:
         _, expected = _fit_two_passes(texts)
         index = TfidfIndex(texts)
         for row, vector in enumerate(expected):
-            where = index._rows == row
+            start = index._row_starts[row]
+            where = slice(start, start + index._lengths[row])
             assert index._features[where].tolist() == list(vector)
             assert index._weights[where].tolist() == list(vector.values())
+
+
+def _transform_loop(embedder, text):
+    """``transform`` by its definition, one feature at a time."""
+    counts = Counter(_features(text))
+    vector = {}
+    base = len(embedder._index)
+    for feat, count in counts.items():
+        idf = embedder._idf.get(feat, embedder._default_idf)
+        index = embedder._index.get(feat)
+        if index is None:
+            index = base + (hash_feature(feat) % 4096)
+        vector[index] = vector.get(index, 0.0) + (1 + math.log(count)) * idf
+    norm = math.sqrt(sum(w * w for w in vector.values()))
+    if norm > 0:
+        vector = {i: w / norm for i, w in vector.items()}
+    return vector
+
+
+class TestTransformDefinition:
+    """``transform`` builds its vector with array operations; entries,
+    their order and their float bits equal the per-feature loop."""
+
+    @given(st.lists(st.text(alphabet="ab c?'", max_size=12), max_size=6),
+           st.text(alphabet="abcxyz ?'", max_size=80))
+    @settings(deadline=None, max_examples=150)
+    def test_equals_loop(self, texts, target):
+        embedder = TfidfEmbedder().fit(texts)
+        assert list(embedder.transform(target).items()) == \
+            list(_transform_loop(embedder, target).items())
+
+    def test_colliding_unknown_features_add_up(self):
+        seen = {}
+        for n in range(26 ** 3):
+            word = "".join(chr(97 + (n // 26 ** i) % 26) for i in range(3)) + "q"
+            other = seen.setdefault(hash_feature(word) % 4096, word)
+            if other != word:
+                break
+        text = f"{other} {word}"
+        embedder = TfidfEmbedder().fit(CORPUS)
+        vector = embedder.transform(text)
+        assert list(vector.items()) == list(_transform_loop(embedder, text).items())
+        assert len(vector) < len(set(_features(text)))

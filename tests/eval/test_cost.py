@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.core.baselines import leaderboard_entries
 from repro.errors import EvaluationError
 from repro.eval.cost import (
     accuracy_per_dollar,
     cost_per_question_usd,
     report_cost_usd,
 )
+from repro.eval.engine import EvalEngine
+from repro.eval.harness import BenchmarkRunner
 from repro.eval.metrics import EvalReport, PredictionRecord
+from repro.experiments.context import get_context
+from repro.experiments.exp_extras import run_cost
+from repro.llm.simulated import SimulatedLLM
 from repro.obs.cost import PRICES, price_sheet
 
 
@@ -51,13 +57,6 @@ class TestCosts:
         expected = 4 * 1.0 * 0.03 + 4 * 0.05 * 0.06
         assert report_cost_usd(report(), "gpt-4") == pytest.approx(expected)
 
-    def test_samples_multiply_completion_only(self):
-        single = report_cost_usd(report(), "gpt-4", n_samples=1)
-        multi = report_cost_usd(report(), "gpt-4", n_samples=5)
-        assert multi > single
-        # Prompt part is unchanged: difference is 4x completion cost.
-        assert multi - single == pytest.approx(4 * 4 * 0.05 * 0.06)
-
     def test_per_question(self):
         assert cost_per_question_usd(report(), "gpt-4") == pytest.approx(
             report_cost_usd(report(), "gpt-4") / 4
@@ -75,3 +74,48 @@ class TestCosts:
     def test_open_source_cheapest(self):
         assert cost_per_question_usd(report(), "llama-7b") < \
             cost_per_question_usd(report(), "gpt-3.5-turbo")
+
+
+def priced_once(records, model_id):
+    sheet = price_sheet(model_id)
+    return (sum(r.prompt_tokens for r in records) / 1000.0 * sheet.prompt_per_1k
+            + sum(r.completion_tokens for r in records) / 1000.0
+            * sheet.completion_per_1k)
+
+
+class TestSelfConsistencyCost:
+    """A vote's record already sums its samples' completion tokens, so
+    the analytic cost prices the record totals once."""
+
+    def test_records_sum_every_sample(self, corpus, monkeypatch):
+        entry = next(e for e in leaderboard_entries() if e.n_samples == 5)
+        runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(), seed=3)
+        runner.prepare(entry.config, n_samples=5)
+        drawn = []
+        generate = SimulatedLLM.generate
+
+        def spy(self, prompt, *args, **kwargs):
+            result = generate(self, prompt, *args, **kwargs)
+            if prompt.examples:  # not DAIL_S's zero-shot preliminary pass
+                drawn.append(result.completion_tokens)
+            return result
+
+        monkeypatch.setattr(SimulatedLLM, "generate", spy)
+        report = EvalEngine(runner).run(entry.config, limit=4, n_samples=5)
+        assert len(drawn) == 5 * len(report)
+        assert sum(r.completion_tokens for r in report.records) == sum(drawn)
+        model = entry.config.model
+        assert report_cost_usd(report, model) == \
+            pytest.approx(priced_once(report.records, model))
+
+    def test_cost_experiment_prices_records_once(self):
+        result = run_cost(fast=True, limit=8)
+        entries = leaderboard_entries()
+        grid = get_context(True).sweep(
+            [entry.config for entry in entries], limit=8,
+            n_samples=[entry.n_samples for entry in entries],
+        )
+        assert any(entry.n_samples > 1 for entry in entries)
+        for entry, report, row in zip(entries, grid, result.rows):
+            once = priced_once(report.records, entry.config.model)
+            assert row["USD/question"] == round(once / len(report), 5), entry.name

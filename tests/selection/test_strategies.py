@@ -135,3 +135,50 @@ class TestDail:
         # Both return permutations of all candidates.
         assert sorted(strict.rank(target.question, target.db_id, target.query)) == \
             list(range(len(train)))
+
+
+class TestFingerprint:
+    """A strategy's fingerprint is computed once and keys the ``select``
+    artifacts, so on-disk caches and run journals depend on its bytes."""
+
+    #: Digests of the fixture corpus (seed 3) as first released; a change
+    #: here orphans every cached selection.
+    POOL = "b9b8fc440589b596cccb279ecfbe751fed8acc7a8d5f188c1051e1a89f2f187b"
+    DEV = "0886db79e91fc37a550ece45c9c21a016e9ce6a7bcc20110dcb73b71d3b132bc"
+    TRAIN = "d8ef107798d7e8e2afc3a3ef129698e144d91aab660ebbba5487cc4082aa605b"
+    SELECT_KEY = "9034b54e320726458d5e393b98fa47ea12ddc31816f2d46eb384d91562f59038"
+
+    def test_computed_once(self, train, monkeypatch):
+        from repro.cache import keys
+
+        calls = []
+        digest = keys.stable_digest
+
+        def spy(*parts):
+            calls.append(parts[0])
+            return digest(*parts)
+
+        monkeypatch.setattr(keys, "stable_digest", spy)
+        strategy = QuestionSimilaritySelection(train)
+        first = strategy.fingerprint()
+        assert strategy.fingerprint() is first
+        assert calls == ["selection"]
+
+    def test_views_keep_distinct_fingerprints(self, train, corpus):
+        dail = DailSelection(train)
+        assert dail.fingerprint() == self.POOL
+        dev_view = dail.for_target(corpus.dev)
+        train_view = dail.for_target(train)
+        assert dev_view.fingerprint() == self.DEV
+        assert train_view.fingerprint() == self.TRAIN
+        assert dail.fingerprint() == self.POOL
+        dail.set_target_dataset(corpus.dev)
+        assert dail.fingerprint() == self.DEV
+
+    def test_select_cache_key(self, train, corpus):
+        from repro.cache.store import ArtifactCache
+
+        view = DailSelection(train).for_target(corpus.dev)
+        target = corpus.dev.examples[0]
+        parts = (view.fingerprint(), target.question, target.db_id, 5, target.query)
+        assert ArtifactCache().key("select", parts) == self.SELECT_KEY

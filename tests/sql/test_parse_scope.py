@@ -182,3 +182,63 @@ class TestLifetime:
                 memos.append(tokenized.memos[-1])
         assert None not in memos
         assert memos[0] is not memos[1]
+
+
+class TestLinking:
+    """Schema linkings share the scope: one link per (question, schema)."""
+
+    @pytest.fixture()
+    def linked(self, monkeypatch):
+        from repro.schema.linker import SchemaLinker
+
+        seen = []
+        link = SchemaLinker._link
+
+        def spy(self, question):
+            seen.append(question)
+            return link(self, question)
+
+        monkeypatch.setattr(SchemaLinker, "_link", spy)
+        return seen
+
+    def test_scoped_equals_unscoped(self, corpus, linked):
+        from repro.schema.linker import SchemaLinker
+
+        example = corpus.dev.examples[0]
+        schema = corpus.dev.schema(example.db_id)
+        expected = SchemaLinker(schema).link(example.question)
+        with parse_scope():
+            first = SchemaLinker(schema).link(example.question)
+            assert SchemaLinker(schema).link(example.question) is first
+            assert scope_memo().linkings
+        assert first == expected
+        assert linked == [example.question] * 2
+        # Outside any scope nothing is memoised.
+        SchemaLinker(schema).link(example.question)
+        assert len(linked) == 3
+
+    def test_keyed_on_schema(self, corpus, toy_schema, linked):
+        from repro.schema.linker import SchemaLinker
+
+        question = "How many singers are older than 30?"
+        with parse_scope():
+            ours = SchemaLinker(toy_schema).link(question)
+            theirs = SchemaLinker(corpus.dev.schema(
+                corpus.dev.examples[0].db_id)).link(question)
+        assert linked == [question, question]
+        assert ours.tables() == {"singer"}
+        assert ours is not theirs
+
+    def test_once_per_example_on_the_dail_config(self, corpus, linked):
+        from repro.core.baselines import leaderboard_entries
+        from repro.eval.engine import EvalEngine
+
+        entry = next(e for e in leaderboard_entries()
+                     if e.config.selection == "DAIL_S")
+        runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(),
+                                 seed=3)
+        runner.prepare(entry.config, n_samples=entry.n_samples)
+        del linked[:]
+        report = EvalEngine(runner).run(entry.config, limit=6,
+                                        n_samples=entry.n_samples)
+        assert sorted(linked) == sorted(r.question for r in report.records)
