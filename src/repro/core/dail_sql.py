@@ -12,15 +12,15 @@ The pipeline combines the winners of each benchmark axis:
 4. optional **self-consistency** — sample several generations and take the
    execution-majority answer.
 
-``DailSQL`` is a facade over the path batch sweeps and ``/v1/generate``
-run — :meth:`EvalPipeline.preliminary_sql
-<repro.eval.pipeline.EvalPipeline.preliminary_sql>` →
-:meth:`~repro.eval.pipeline.EvalPipeline.selection_blocks` → the plan's
-prompt builder → :func:`repro.eval.candidates.search` — over the caller's
-schema and database, so it returns the SQL a sweep with the leaderboard
-DAIL config records.  It is model-agnostic: it drives any
-:class:`~repro.llm.interface.LLMClient`, including the simulated models the
-benchmark ships and any real API client a downstream user plugs in.
+``DailSQL`` is a facade over the question path batch sweeps and
+``/v1/generate`` run — :meth:`EvalPipeline.prompt
+<repro.eval.pipeline.EvalPipeline.prompt>` (the preliminary pass,
+selection and the prompt build) → :func:`repro.eval.candidates.search` —
+over the caller's schema and database, so it returns the SQL and the
+prompt a sweep with the leaderboard DAIL config records.  It is
+model-agnostic: it drives any :class:`~repro.llm.interface.LLMClient`,
+including the simulated models the benchmark ships and any real API
+client a downstream user plugs in.
 """
 
 from __future__ import annotations
@@ -152,14 +152,14 @@ class DailSQL:
         dataset, plan = self._target(schema)
         pipeline = self._pipeline(dataset, database)
         with parse_scope():
-            preliminary = pipeline.preliminary_sql(plan, question, schema.db_id)
-            blocks = pipeline.selection_blocks(plan, question, schema.db_id)
-            prompt = plan.builder.build(schema, question, blocks)
+            _, prompt = pipeline.prompt(plan, question, schema.db_id)
             result = search(
-                pipeline, self.llm, prompt, schema.db_id,
+                pipeline, plan.llm, prompt, schema.db_id,
                 n_samples=self.n_samples if database is not None else 1,
                 execute=False,
             )
+            # A cache hit: selection computed it on the call's cache.
+            preliminary = pipeline.preliminary_sql(plan, question, schema.db_id)
         return DailSQLResult(
             sql=result.winner.predicted_sql,
             raw_output=result.winner.raw_output,

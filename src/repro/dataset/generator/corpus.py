@@ -63,7 +63,7 @@ class Corpus:
         """Databases for every schema in the corpus.
 
         The SQLite pool is the one :func:`build_corpus` validated the
-        gold queries on; another backend's is built on first use.
+        dev gold queries on; another backend's is built on first use.
 
         Args:
             backend: optional execution-backend name or instance; each
@@ -103,9 +103,11 @@ def build_corpus(config: Optional[CorpusConfig] = None) -> Corpus:
     cross-domain exactly like Spider: no evaluation database is ever seen in
     the example pool.
 
-    Gold queries are validated on the SQLite databases of the corpus's
-    own pool, so :meth:`Corpus.pool` serves the databases built here
-    instead of building them again.
+    Each database is built once here to validate its gold queries.  The
+    dev databases are those of the corpus's own pool, which
+    :meth:`Corpus.pool` serves without building them again; a train
+    database is closed after validation and its pool keeps only the
+    recipe.
 
     Raises:
         DatasetError: if the domain restriction leaves a split empty.
@@ -137,9 +139,13 @@ def _generate(config: CorpusConfig, pool: DatabasePool) -> Corpus:
         data = populate(spec, seed=config.seed)
         rows[spec.db_id] = data
         count = config.dev_per_db if spec.group == "dev" else config.train_per_db
+        pool.register(schema, data)
         generated = generate_examples(
             schema, data, count, seed=config.seed,
-            database=pool.add(schema, data),
+            # A dev database stays open: runs execute the gold queries
+            # this validation leaves in its statement cache.  A train
+            # database is built for it and closed; no run queries one.
+            database=pool.get(spec.db_id) if spec.group == "dev" else None,
         )
         # Hardness is read off the template's AST, so the corpus never
         # parses its own gold SQL; every generated query round-trips

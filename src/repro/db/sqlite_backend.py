@@ -295,6 +295,14 @@ class DatabasePool:
         Returns the calling thread's instance, built eagerly so DDL
         errors surface here rather than at first query.
         """
+        self.register(schema, rows)
+        return self.get(schema.db_id)
+
+    def register(
+        self, schema: DatabaseSchema, rows: Dict[str, List[dict]]
+    ) -> None:
+        """Register (or replace) the recipe for ``schema.db_id``; its
+        database is built on the first :meth:`get`."""
         with self._lock:
             stale = [
                 per_thread.pop(schema.db_id)
@@ -305,7 +313,6 @@ class DatabasePool:
             self._fingerprints.pop(schema.db_id, None)
         for database in stale:
             database.close()
-        return self.get(schema.db_id)
 
     def fingerprint(self, db_id: str) -> str:
         """Stable content digest of one database's schema and rows.

@@ -4,11 +4,11 @@ over an evaluation split and score it.
 One :class:`BenchmarkRunner` owns an evaluation dataset, a cross-domain
 candidate pool for in-context examples, the databases for execution-
 accuracy scoring, and the unified artifact cache.  Example evaluation is
-delegated to the staged :class:`~repro.eval.pipeline.EvalPipeline`::
+delegated to :meth:`EvalPipeline.run <repro.eval.pipeline.EvalPipeline.run>`::
 
-    select → build → generate → extract → analyze → execute → score
+    prompt (select → build) → search → analyze → execute → score
 
-Every expensive stage reads and writes content-addressed artifacts
+Every expensive step reads and writes content-addressed artifacts
 through :class:`~repro.cache.store.ArtifactCache`, so parameter sweeps
 (the experiment grids) share selection rankings, preliminary SQL, gold
 rows and generations across grid cells — and, with a disk tier attached

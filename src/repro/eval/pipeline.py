@@ -1,16 +1,25 @@
-"""The staged evaluation pipeline.
+"""The evaluation pipeline: one question's path, written once::
 
-One example evaluation is an explicit chain of six small stages::
+    prompt (select → build) → search → analyze → execute → score
 
-    select → build → generate → analyze → execute → score
+:meth:`EvalPipeline.prompt` is the only select → build.  Batch sweeps
+(:meth:`EvalPipeline.run`), ``/v1/generate`` and ``/v1/explain``
+(:class:`~repro.serve.service.SqlService`) and ``dail-sql ask``
+(:class:`~repro.core.dail_sql.DailSQL`) build their prompt through it,
+then run the candidate search (:mod:`repro.eval.candidates`): sample,
+extract, analyze, execute behind the safety gate, vote over
+``n_samples`` and repair a *dead* winner for ``feedback_rounds``.
+:meth:`EvalPipeline.run` then scores the winner: ``analyze`` counts the
+lint diagnostics of the analysis the search already holds, ``execute``
+compares its rows with gold (a fatal winner never ran, so it needs no
+gold), and ``score`` assembles the record.  Each step is timed under
+its telemetry stage name.
 
-Each stage is an independently testable unit with declared inputs and
-outputs (read from / written to a shared state dict), and every
-expensive stage reads and writes through the unified
+Every expensive step reads and writes through the unified
 :class:`~repro.cache.store.ArtifactCache`:
 
 ========== ============================ ==============================
-stage      artifact (cache stage name)  key content
+step       artifact (cache stage name)  key content
 ========== ============================ ==============================
 select     ``preliminary``              LLM fingerprint + preliminary
                                         prompt text
@@ -21,20 +30,10 @@ generate   ``generate``                 LLM fingerprint, prompt text,
 analyze    ``analyze``                  analyzer version, database
                                         fingerprint, predicted SQL,
                                         repair flag, dialect name
-execute    ``gold``                     database fingerprint, gold SQL
 execute    ``execute``                  database fingerprint,
                                         predicted SQL
+execute    ``gold``                     database fingerprint, gold SQL
 ========== ============================ ==============================
-
-The generate stage is the candidate search
-(:mod:`repro.eval.candidates`) the serving layer runs too: it samples,
-extracts, analyzes, executes behind the safety gate, votes over
-``n_samples`` and — with ``feedback_rounds > 0`` — regenerates a *dead*
-winner (fatal lint diagnostic or execution failure) from its rendered
-diagnostics.  It times its steps under the ``generate``, ``extract``,
-``analyze``, ``execute`` and ``repair`` stage names.  The analyze,
-execute and score stages then describe and score the winner; only the
-execute stage reads gold.
 
 The safety gate: a fatally-diagnosed candidate (statement would not
 run, or is not a read-only SELECT) never touches the database — a
@@ -55,13 +54,12 @@ records.
 Cache hits and misses are reported to the run's
 :class:`~repro.eval.telemetry.TelemetryCollector` under the artifact
 names above, so :class:`~repro.eval.telemetry.RunTelemetry` counters
-cover every stage uniformly.
+cover every step uniformly.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.analyzer import ANALYZER_VERSION, analyze
 from ..analysis.repair import repair as repair_sql
@@ -73,7 +71,7 @@ from ..db.execution import results_match
 from ..db.sqlite_backend import DatabasePool
 from ..llm.extract import extract_sql
 from ..llm.interface import client_fingerprint
-from ..prompt.builder import PromptBuilder
+from ..prompt.builder import Prompt, PromptBuilder
 from ..prompt.organization import ExampleBlock, get_organization
 from ..prompt.representation import RepresentationOptions, get_representation
 from ..repair.feedback import MAX_FEEDBACK_ROUNDS
@@ -88,216 +86,19 @@ from .exact_match import exact_match
 from .metrics import PredictionRecord
 from .telemetry import NULL_COLLECTOR
 
-#: Pipeline state: the blackboard stages read from and write to.
-State = Dict[str, object]
-
-
-class PipelineStage:
-    """One unit of the pipeline.
-
-    Subclasses declare ``name`` (also the telemetry stage-timer label),
-    ``inputs`` (state keys read) and ``outputs`` (state keys written),
-    and implement :meth:`run`.  Stages hold no per-example state — all
-    of it lives in the state dict — so one stage instance serves every
-    worker thread.
-    """
-
-    name: str = ""
-    inputs: Tuple[str, ...] = ()
-    outputs: Tuple[str, ...] = ()
-    #: Whether the chain wraps :meth:`run` in the ``name`` stage timer
-    #: (a stage that times its own steps opts out).
-    timed: bool = True
-
-    def __init__(self, pipeline: "EvalPipeline"):
-        self.pipeline = pipeline
-
-    def run(self, state: State, collector) -> None:
-        raise NotImplementedError
-
-
-class SelectStage(PipelineStage):
-    """Pick in-context examples (and the DAIL preliminary SQL)."""
-
-    name = "select"
-    inputs = ("example", "plan")
-    outputs = ("blocks",)
-
-    def run(self, state: State, collector) -> None:
-        example, plan = state["example"], state["plan"]
-        state["blocks"] = self.pipeline.selection_blocks(
-            plan, example.question, example.db_id, collector
-        )
-
-
-class BuildPromptStage(PipelineStage):
-    """Assemble the prompt under the config's token budget.
-
-    Pure and cheap (token counts are memoised in the shared counter),
-    so the prompt — which holds live schema objects — is rebuilt rather
-    than cached.
-    """
-
-    name = "build"
-    inputs = ("example", "plan", "blocks")
-    outputs = ("prompt",)
-
-    def run(self, state: State, collector) -> None:
-        example, plan = state["example"], state["plan"]
-        schema = self.pipeline.dataset.schema(example.db_id)
-        state["prompt"] = plan.builder.build(
-            schema, example.question, state["blocks"]
-        )
-
-
-class GenerateStage(PipelineStage):
-    """Run the candidate search (:func:`repro.eval.candidates.search`).
-
-    Samples, votes over ``n_samples`` and repairs a dead winner for up
-    to the pipeline's ``feedback_rounds``, timing its own steps.
-    """
-
-    name = "generate"
-    inputs = ("example", "plan", "prompt")
-    outputs = ("search", "predicted_sql", "outcome")
-    timed = False
-
-    def run(self, state: State, collector) -> None:
-        example, plan = state["example"], state["plan"]
-        result = search(
-            self.pipeline, plan.llm, state["prompt"], example.db_id,
-            n_samples=plan.n_samples,
-            feedback_rounds=self.pipeline.feedback_rounds,
-            collector=collector,
-        )
-        state["search"] = result
-        state["predicted_sql"] = result.winner.predicted_sql
-        state["outcome"] = result.winner.outcome
-
-
-class AnalyzeStage(PipelineStage):
-    """Static analysis + safety gate on the extracted SQL (cached)."""
-
-    name = "analyze"
-    inputs = ("example", "predicted_sql")
-    outputs = ("analysis", "final_sql")
-
-    def run(self, state: State, collector) -> None:
-        example = state["example"]
-        predicted_sql = state["predicted_sql"]
-        payload = self.pipeline.analysis(
-            example.db_id, predicted_sql, collector
-        )
-        state["analysis"] = payload
-        state["final_sql"] = payload.get("final_sql") or predicted_sql
-        for entry in payload.get("diagnostics", []):
-            collector.record_lint(
-                str(entry.get("rule", "")), str(entry.get("severity", ""))
-            )
-
-
-class ExecuteStage(PipelineStage):
-    """Execute the gold query and compare it with the winner's rows.
-
-    The search already executed the winner behind the analyzer's safety
-    gate; a fatally-diagnosed winner never ran, so it scores as a
-    non-match without a gold round-trip.
-    """
-
-    name = "execute"
-    inputs = ("example", "analysis", "outcome")
-    outputs = ("exec_match",)
-
-    def run(self, state: State, collector) -> None:
-        example = state["example"]
-        if (state.get("analysis") or {}).get("fatal"):
-            state["exec_match"] = False
-            return
-        outcome = state["outcome"]
-        gold_rows = self.pipeline.gold_rows(example, collector)
-        state["exec_match"] = bool(outcome["ok"]) and results_match(
-            gold_rows, outcome["rows"], example.query
-        )
-
-
-class ScoreStage(PipelineStage):
-    """Exact match, semantic equivalence, and record assembly (pure)."""
-
-    name = "score"
-    inputs = (
-        "example", "prompt", "search", "predicted_sql",
-        "analysis", "final_sql", "exec_match",
-    )
-    outputs = ("exact_match", "semantic_match", "record")
-
-    def run(self, state: State, collector) -> None:
-        example, prompt = state["example"], state["prompt"]
-        result = state["search"]
-        predicted_sql = state["predicted_sql"]
-        analysis = state.get("analysis") or {}
-        final_sql = str(state.get("final_sql") or predicted_sql)
-        em_ok = exact_match(example.query, final_sql)
-        state["exact_match"] = em_ok
-        sem_ok = self.pipeline.semantic_match(
-            example.db_id, example.query, final_sql
-        )
-        state["semantic_match"] = sem_ok
-        # Lint gates outrank execution failures (a fatally-diagnosed
-        # statement never executed); the feedback loop, when it ran,
-        # resolves the final class itself (``repair:exhausted``, the
-        # preserved transient class, or "" on recovery).
-        error_class = (
-            result.winner.error_class
-            if result.repair_error_class is None
-            else result.repair_error_class
-        )
-        state["record"] = PredictionRecord(
-            example_id=example.example_id,
-            db_id=example.db_id,
-            question=example.question,
-            gold_sql=example.query,
-            raw_output=result.winner.raw_output,
-            predicted_sql=predicted_sql,
-            exec_match=state["exec_match"],
-            exact_match=em_ok,
-            semantic_match=sem_ok,
-            hardness=example.hardness,
-            prompt_tokens=prompt.token_count,
-            completion_tokens=result.completion_tokens,
-            n_examples=prompt.n_examples,
-            error_class=error_class,
-            statement_kind=str(analysis.get("statement_kind", "")),
-            repaired_sql=str(analysis.get("repaired_sql", "")),
-            diagnostics=list(analysis.get("diagnostics", [])),
-            repair_rounds=result.repair_rounds,
-            repair_won_round=result.repair_won_round,
-            repair_round_classes=list(result.repair_round_classes),
-        )
-
-
-#: Stage classes in pipeline order.
-STAGE_CLASSES = (
-    SelectStage,
-    BuildPromptStage,
-    GenerateStage,
-    AnalyzeStage,
-    ExecuteStage,
-    ScoreStage,
-)
-
 
 class EvalPipeline:
-    """Runs the staged pipeline for one benchmark's datasets.
+    """Runs one benchmark's questions through select → build → search.
 
     Owned by a :class:`~repro.eval.harness.BenchmarkRunner`; shared by
-    every worker thread of the evaluation engine (stages are stateless,
-    the cache is thread-safe).
+    every worker thread of the evaluation engine (it holds no
+    per-example state, the cache is thread-safe).
 
     Args:
         dataset: the evaluation split (schemas, gold queries).
         candidates: in-context example pool (``None`` for zero-shot).
         pool: databases for execution-accuracy scoring.
-        cache: the unified artifact cache all stages go through.
+        cache: the unified artifact cache every step goes through.
         repair: run the deterministic repair pass on diagnosed
             predictions (the ``--repair`` flag); the repair outcome is
             part of the ``analyze`` artifact's cache key, so repaired
@@ -337,18 +138,6 @@ class EvalPipeline:
         self.feedback_rounds = max(0, min(int(feedback_rounds),
                                           MAX_FEEDBACK_ROUNDS))
         self.semantic_dedup = semantic_dedup
-        self.stages = tuple(cls(self) for cls in STAGE_CLASSES)
-
-    def stage(self, name: str) -> PipelineStage:
-        """One stage by name (for tests and targeted reuse).
-
-        Raises:
-            KeyError: for unknown stage names.
-        """
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(f"no pipeline stage named {name!r}")
 
     @property
     def dialect_name(self) -> str:
@@ -395,26 +184,107 @@ class EvalPipeline:
         except Exception:
             return False
 
-    # -- the chain -----------------------------------------------------------
+    # -- the question path -----------------------------------------------------
+
+    def prompt(
+        self, plan, question: str, db_id: str, collector=NULL_COLLECTOR,
+        check: Callable[[str], object] = lambda step: None,
+    ) -> Tuple[List[ExampleBlock], Prompt]:
+        """Select → build: the in-context examples and the prompt every
+        surface sends for ``question``.
+
+        Args:
+            plan: the run plan; its ``llm`` also serves the DAIL
+                preliminary pass inside selection.
+            check: called with ``"select"`` before selection; raising
+                aborts (the serving layer's request deadline).
+
+        Raises:
+            DatasetError: unknown ``db_id``.
+        """
+        schema = self.dataset.schema(db_id)
+        check("select")
+        with collector.stage("select"):
+            blocks = self.selection_blocks(plan, question, db_id, collector)
+        with collector.stage("build"):
+            prompt = plan.builder.build(schema, question, blocks)
+        return blocks, prompt
 
     def run(self, example: Example, plan, collector=NULL_COLLECTOR) -> PredictionRecord:
         """Evaluate one example under one plan (thread-safe).
 
         The example runs in one :func:`~repro.sql.parser.parse_scope`, so
-        each distinct SQL string is parsed once across its stages.
+        each distinct SQL string is parsed once across its steps.
 
         Raises:
-            Exception: whatever a stage raises; the engine isolates it
+            Exception: whatever a step raises; the engine isolates it
                 into an errored record.
         """
-        state: State = {"example": example, "plan": plan}
         with parse_scope():
-            for stage in self.stages:
-                timer = (collector.stage(stage.name) if stage.timed
-                         else nullcontext())
-                with timer:
-                    stage.run(state, collector)
-        return state["record"]
+            _, prompt = self.prompt(
+                plan, example.question, example.db_id, collector
+            )
+            result = search(
+                self, plan.llm, prompt, example.db_id,
+                n_samples=plan.n_samples,
+                feedback_rounds=self.feedback_rounds,
+                collector=collector,
+            )
+            winner = result.winner
+            analysis = winner.analysis
+            with collector.stage("analyze"):
+                for entry in analysis.get("diagnostics", []):
+                    collector.record_lint(
+                        str(entry.get("rule", "")),
+                        str(entry.get("severity", "")),
+                    )
+            with collector.stage("execute"):
+                # The search executed the winner behind the safety gate;
+                # a fatal winner never ran, so it needs no gold rows.
+                exec_match = False
+                if not winner.fatal:
+                    gold_rows = self.gold_rows(example, collector)
+                    exec_match = winner.exec_ok and results_match(
+                        gold_rows, winner.outcome["rows"], example.query
+                    )
+            with collector.stage("score"):
+                final_sql = winner.final_sql
+                em_ok = exact_match(example.query, final_sql)
+                sem_ok = self.semantic_match(
+                    example.db_id, example.query, final_sql
+                )
+                # Lint gates outrank execution failures (a fatally-
+                # diagnosed statement never executed); the feedback
+                # loop, when it ran, resolves the final class itself
+                # (``repair:exhausted``, the preserved transient class,
+                # or "" on recovery).
+                error_class = (
+                    winner.error_class
+                    if result.repair_error_class is None
+                    else result.repair_error_class
+                )
+                return PredictionRecord(
+                    example_id=example.example_id,
+                    db_id=example.db_id,
+                    question=example.question,
+                    gold_sql=example.query,
+                    raw_output=winner.raw_output,
+                    predicted_sql=winner.predicted_sql,
+                    exec_match=exec_match,
+                    exact_match=em_ok,
+                    semantic_match=sem_ok,
+                    hardness=example.hardness,
+                    prompt_tokens=prompt.token_count,
+                    completion_tokens=result.completion_tokens,
+                    n_examples=prompt.n_examples,
+                    error_class=error_class,
+                    statement_kind=str(analysis.get("statement_kind", "")),
+                    repaired_sql=str(analysis.get("repaired_sql", "")),
+                    diagnostics=list(analysis.get("diagnostics", [])),
+                    repair_rounds=result.repair_rounds,
+                    repair_won_round=result.repair_won_round,
+                    repair_round_classes=list(result.repair_round_classes),
+                )
 
     # -- cached artifact accessors -------------------------------------------
 

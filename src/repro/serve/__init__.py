@@ -1,7 +1,7 @@
 """The serving layer: a long-lived HTTP/JSON text-to-SQL service.
 
-Built entirely on the existing substrate — the staged
-:class:`~repro.eval.pipeline.EvalPipeline`, the content-addressed
+Built entirely on the existing substrate — the
+:class:`~repro.eval.pipeline.EvalPipeline` question path, the content-addressed
 :class:`~repro.cache.store.ArtifactCache`, the
 :class:`~repro.obs.metrics.MetricsRegistry` and the
 :class:`~repro.resilience.breaker.CircuitBreaker` — plus three serving

@@ -4,11 +4,17 @@
 breaker and deadline guard, selection strategy) over a
 :class:`~repro.eval.harness.BenchmarkRunner` and answers the four
 operations the HTTP layer exposes — generate, lint, execute, explain —
-in terms of the *same* pipeline accessors batch sweeps use.  Because
-every expensive step goes through the content-addressed
-:class:`~repro.cache.store.ArtifactCache` with unchanged key shapes,
-a question evaluated during a sweep is a warm cache hit over HTTP and
-vice versa; the service layer adds no second caching scheme.
+on the *same* question path batch sweeps run: generate and explain
+build their prompt with :meth:`EvalPipeline.prompt
+<repro.eval.pipeline.EvalPipeline.prompt>` (select → build), and
+generate then runs the candidate search
+(:func:`repro.eval.candidates.search`).  Each request builds one
+deadline-bounded plan whose ``llm`` serves both the DAIL preliminary
+pass and the search.  Because every expensive step goes through the
+content-addressed :class:`~repro.cache.store.ArtifactCache` with
+unchanged key shapes, a question evaluated during a sweep is a warm
+cache hit over HTTP and vice versa; the service layer adds no second
+caching scheme.
 
 The service knows nothing about HTTP: it takes the typed request
 dataclasses from :mod:`repro.api.wire`, returns typed responses, and
@@ -34,7 +40,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..api.wire import (
     ExecuteRequest,
@@ -48,13 +54,11 @@ from ..api.wire import (
 )
 from ..errors import DeadlineExceededError, UnsafeSqlError
 from ..eval.candidates import search
-from ..eval.harness import BenchmarkRunner, RunConfig
+from ..eval.harness import BenchmarkRunner, RunConfig, RunPlan
 from ..eval.telemetry import TelemetryCollector
 from ..obs import context as obs_context
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import build_tracer
-from ..prompt.builder import Prompt
-from ..prompt.organization import ExampleBlock
 from ..resilience.breaker import CircuitBreaker
 from ..sql.parser import parse_scope
 from ..sql.transpile import transpile
@@ -111,9 +115,6 @@ class _DeadlineClient:
             prompt, sample_tag=sample_tag,
             timeout_s=self.deadline.check("generate"),
         )
-
-    def generate_batch(self, prompts, sample_tag: str = ""):
-        return [self.generate(p, sample_tag=sample_tag) for p in prompts]
 
 
 class _ServeCollector(TelemetryCollector):
@@ -236,9 +237,9 @@ class SqlService:
     def generate(
         self, request: GenerateRequest, request_id: str = ""
     ) -> GenerateResponse:
-        """Question → SQL through select, build and the candidate search
-        batch sweeps run (:func:`repro.eval.candidates.search`), so a
-        request returns the SQL a sweep with the same config records.
+        """Question → SQL through the prompt and candidate search batch
+        sweeps run, so a request returns the SQL a sweep with the same
+        config records.
 
         Raises:
             RateLimitedError: tenant over its budget.
@@ -256,10 +257,12 @@ class SqlService:
         deadline = _Deadline(self.clock, request.deadline_s)
         collector = self.collector
         collector.begin_request()
-        _, prompt = self._prompt(request, deadline)
+        plan = self._plan(deadline)
+        _, prompt = self.pipeline.prompt(
+            plan, request.question, request.db_id, collector, deadline.check
+        )
         result = search(
-            self.pipeline, _DeadlineClient(self.coalescer, deadline),
-            prompt, request.db_id,
+            self.pipeline, plan.llm, prompt, request.db_id,
             n_samples=request.n_samples,
             feedback_rounds=(
                 request.feedback_rounds
@@ -287,13 +290,7 @@ class SqlService:
         """Static analysis (and optional repair) without executing."""
         with self._request_scope("lint", request, request_id):
             deadline = _Deadline(self.clock, request.deadline_s)
-            self.pipeline.dataset.schema(request.db_id)  # 404 on unknown db
-            deadline.check("analyze")
-            with self.collector.stage("analyze"):
-                payload = self.pipeline.analysis(
-                    request.db_id, request.sql, self.collector,
-                    repair=request.repair, dialect=request.dialect,
-                )
+            payload = self._analysis(request, deadline, repair=request.repair)
             return LintResponse(
                 db_id=request.db_id,
                 statement_kind=str(payload.get("statement_kind", "")),
@@ -321,13 +318,7 @@ class SqlService:
         self, request: ExecuteRequest, request_id: str
     ) -> ExecuteResponse:
         deadline = _Deadline(self.clock, request.deadline_s)
-        self.pipeline.dataset.schema(request.db_id)
-        deadline.check("analyze")
-        with self.collector.stage("analyze"):
-            payload = self.pipeline.analysis(
-                request.db_id, request.sql, self.collector,
-                dialect=request.dialect,
-            )
+        payload = self._analysis(request, deadline)
         if payload.get("fatal"):
             self.collector.record_short_circuit()
             raise UnsafeSqlError(
@@ -364,7 +355,10 @@ class SqlService:
         """The prompt a generate would send — selection + build only."""
         with self._request_scope("explain", request, request_id):
             deadline = _Deadline(self.clock, request.deadline_s)
-            blocks, prompt = self._prompt(request, deadline)
+            blocks, prompt = self.pipeline.prompt(
+                self._plan(deadline), request.question, request.db_id,
+                self.collector, deadline.check,
+            )
             return ExplainResponse(
                 db_id=request.db_id,
                 question=request.question,
@@ -384,24 +378,25 @@ class SqlService:
 
     # -- internals -----------------------------------------------------------
 
-    def _prompt(
-        self, request, deadline: _Deadline
-    ) -> Tuple[List[ExampleBlock], Prompt]:
-        """Select → build: the prompt a generate sends.
+    def _plan(self, deadline: _Deadline) -> RunPlan:
+        """The served plan with its model calls — the DAIL preliminary
+        pass and the search alike — bounded by the request deadline."""
+        return replace(
+            self.plan, llm=_DeadlineClient(self.coalescer, deadline)
+        )
 
-        Selection runs the served plan with its model calls bounded by
-        the request deadline (the DAIL preliminary pass generates).
-        """
-        schema = self.pipeline.dataset.schema(request.db_id)
-        plan = replace(self.plan, llm=_DeadlineClient(self.coalescer, deadline))
-        deadline.check("select")
-        with self.collector.stage("select"):
-            blocks = self.pipeline.selection_blocks(
-                plan, request.question, request.db_id, self.collector
+    def _analysis(
+        self, request, deadline: _Deadline, repair: Optional[bool] = None
+    ) -> Dict:
+        """The ``analyze`` artifact of ``request.sql``, in the request's
+        dialect (404 on an unknown ``db_id``)."""
+        self.pipeline.dataset.schema(request.db_id)
+        deadline.check("analyze")
+        with self.collector.stage("analyze"):
+            return self.pipeline.analysis(
+                request.db_id, request.sql, self.collector,
+                repair=repair, dialect=request.dialect,
             )
-        with self.collector.stage("build"):
-            prompt = self.plan.builder.build(schema, request.question, blocks)
-        return blocks, prompt
 
     def close(self) -> None:
         """Close a tracer built here, flushing its spans."""

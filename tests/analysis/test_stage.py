@@ -1,12 +1,13 @@
 """Analyze-stage integration tests: gating, caching, records, metrics."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from repro.cache.store import ArtifactCache
 from repro.eval.engine import EvalEngine, GridRunner
 from repro.eval.harness import BenchmarkRunner, RunConfig
 from repro.eval.pipeline import EvalPipeline
 from repro.eval.telemetry import NULL_COLLECTOR
+from repro.llm.interface import GenerationResult
 from repro.obs.metrics import (
     M_LINT_DIAGNOSTICS,
     M_LINT_SHORT_CIRCUIT,
@@ -81,16 +82,30 @@ class TestAnalysisArtifact:
         assert cache.stats()["analyze"]["misses"] == 2
 
 
+class DropTableLLM:
+    """Answers every prompt with a destructive statement."""
+
+    model_id = "drop-table"
+
+    def generate(self, prompt, sample_tag=""):
+        return GenerationResult(
+            "DROP TABLE students", prompt.token_count, 4, self.model_id
+        )
+
+
 class TestPipelineGate:
-    def test_fatal_prediction_skips_execution(self, runner, dev_example):
-        plan = runner.prepare(ZERO_SHOT)
-        pipeline = runner.pipeline
-        state = {"example": dev_example, "plan": plan,
-                 "predicted_sql": "DROP TABLE students"}
-        pipeline.stage("analyze").run(state, NULL_COLLECTOR)
-        pipeline.stage("execute").run(state, NULL_COLLECTOR)
-        assert state["exec_match"] is False
-        assert state["analysis"]["error_class"] == "lint:safety.non-select"
+    def test_fatal_prediction_skips_execution(self, corpus, dev_example):
+        runner = fresh_runner(corpus)
+        # AS_P has no "SELECT" lead-in for extraction to prepend.
+        config = RunConfig(model="gpt-4", representation="AS_P")
+        plan = replace(runner.prepare(config), llm=DropTableLLM())
+        record = runner.pipeline.run(dev_example, plan)
+        assert record.predicted_sql == "DROP TABLE students"
+        assert record.exec_match is False
+        assert record.error_class == "lint:safety.non-select"
+        # The fatal winner never ran, so scoring it read no gold either.
+        stats = runner.cache.stats()
+        assert "gold" not in stats and "execute" not in stats
 
     def test_weak_model_records_carry_lint_gate(self, corpus):
         """Every lint-gated record scores as a miss with an empty

@@ -161,8 +161,9 @@ class TestCorpus:
             build_corpus(CorpusConfig(domains=["pets_1"]))  # dev only
 
     def test_each_database_is_built_once(self, monkeypatch):
-        # Gold queries are validated on the pool's own databases, so the
-        # pool a run asks for afterwards builds nothing more.
+        # Gold queries are validated on the pool's own dev databases, so
+        # the pool a run asks for afterwards builds nothing more; a train
+        # database is closed after validation and only its recipe stays.
         built = []
         original = Database.build.__func__
 
@@ -175,13 +176,19 @@ class TestCorpus:
                                        dev_per_db=5)) as built_corpus:
             pool = built_corpus.pool()
             assert built_corpus.pool() is pool
-            db_ids = sorted(set(built_corpus.train.schemas)
-                            | set(built_corpus.dev.schemas))
+            dev_ids = sorted(built_corpus.dev.schemas)
+            db_ids = sorted(set(built_corpus.train.schemas) | set(dev_ids))
             assert pool.db_ids() == db_ids
-            for db_id in db_ids:  # this thread's databases are open
+            # Only the dev databases are open, on this thread.
+            assert pool.connection_count() == len(dev_ids)
+            for db_id in dev_ids:
                 assert pool.get(db_id).try_execute("SELECT 1") == [(1,)]
+            assert sorted(built) == db_ids
+            # A train database is rebuilt from its recipe on first use.
+            train_id = sorted(built_corpus.train.schemas)[0]
+            assert pool.get(train_id).try_execute("SELECT 1") == [(1,)]
+            assert built.count(train_id) == 2
         assert len(db_ids) == len(DOMAINS) == 26
-        assert sorted(built) == db_ids
 
 
 #: SHA-256 of every example of the full-size corpus (train then dev, each

@@ -1,14 +1,11 @@
-"""Staged-pipeline tests: stage contracts, artifact sharing, incremental
+"""Pipeline tests: the question path, artifact sharing, incremental
 (cold-vs-warm) sweeps, and fingerprint-driven invalidation."""
 
 from dataclasses import asdict, replace
 
-import pytest
-
 from repro.cache.store import ArtifactCache
 from repro.eval.engine import EvalEngine, GridRunner
 from repro.eval.harness import BenchmarkRunner, RunConfig
-from repro.eval.pipeline import STAGE_CLASSES
 from repro.eval.telemetry import STAGES
 
 ZERO_SHOT = RunConfig(model="gpt-4", representation="CR_P")
@@ -27,31 +24,6 @@ def record_dicts(report):
 
 
 class TestStageContracts:
-    def test_stage_order_matches_telemetry(self):
-        # "extract" and "repair" are timed like stages but run inside
-        # the candidate search (the generate stage), not as stage
-        # classes.
-        timed = tuple(name for name in STAGES
-                      if name not in ("extract", "repair"))
-        assert tuple(cls.name for cls in STAGE_CLASSES) == timed
-        assert "repair" in STAGES
-
-    def test_declared_inputs_are_satisfied_by_prior_outputs(self):
-        """Each stage's declared inputs must be produced by an earlier
-        stage (or be the initial example/plan state)."""
-        available = {"example", "plan"}
-        for cls in STAGE_CLASSES:
-            missing = set(cls.inputs) - available
-            assert not missing, f"{cls.name} reads undeclared keys {missing}"
-            available |= set(cls.outputs)
-        assert "record" in available
-
-    def test_stage_lookup(self, runner):
-        pipeline = runner.pipeline
-        assert pipeline.stage("generate").name == "generate"
-        with pytest.raises(KeyError):
-            pipeline.stage("nope")
-
     def test_pipeline_run_produces_scored_record(self, runner, dev_example):
         plan = runner.prepare(ZERO_SHOT)
         record = runner.pipeline.run(dev_example, plan)
@@ -62,6 +34,14 @@ class TestStageContracts:
     def test_all_stage_timers_populate(self, corpus):
         report = EvalEngine(fresh_runner(corpus)).run(DAIL, limit=3)
         assert set(report.telemetry.stage_s) == set(STAGES)
+
+    def test_one_analyze_lookup_per_example(self, corpus):
+        """The winner carries its analysis out of the search, so a
+        1-sample pass looks each example's SQL up once, not twice."""
+        runner = fresh_runner(corpus)
+        EvalEngine(runner).run(ZERO_SHOT, limit=6)
+        stats = runner.cache.stats()["analyze"]
+        assert stats["hits"] + stats["misses"] == 6
 
 
 class TestArtifactSharing:

@@ -259,11 +259,3 @@ class TestDeadlineClient:
         # cache keys must be identical to the backing client's
         assert client.fingerprint() == "recording:v1"
         assert client.generate(prompt("a"), sample_tag="s").text == "out:a:s"
-
-    def test_generate_batch_preserves_order(self):
-        llm = RecordingLLM()
-        client = _DeadlineClient(GenerateCoalescer(llm),
-                                 _Deadline(FakeClock(), 1.0))
-        results = client.generate_batch([prompt("x"), prompt("y")])
-        assert [r.text for r in results] == ["out:x:", "out:y:"]
-        assert llm.batches == [["x"], ["y"]]

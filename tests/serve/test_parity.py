@@ -1,11 +1,12 @@
 """serve == batch == ask: every surface returns the SQL a sweep records.
 
 For every dev question, a service over its own runner and cache must
-return exactly the sweep record's ``predicted_sql`` under the same
-config, ``n_samples`` and ``feedback_rounds``, and ``DailSQL`` (what
-``dail-sql ask`` runs) must match a DAIL sweep's SQL and prompt size —
-all three surfaces run the one candidate search
-(:mod:`repro.eval.candidates`).
+return exactly the sweep record's ``predicted_sql``, prompt size and
+example count under the same config, ``n_samples`` and
+``feedback_rounds``, and ``DailSQL`` (what ``dail-sql ask`` runs) must
+match a DAIL sweep's SQL and prompt size — all three surfaces build
+their prompt with ``EvalPipeline.prompt`` and run the one candidate
+search (:mod:`repro.eval.candidates`).
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ def test_served_sql_equals_sweep_sql(corpus, name, samples, rounds):
                 question=record.question, db_id=record.db_id,
                 n_samples=samples, feedback_rounds=rounds,
             ))
-            if served.sql != record.predicted_sql:
-                mismatches.append(
-                    (record.example_id, served.sql, record.predicted_sql)
-                )
+            got = (served.sql, served.prompt_tokens, served.n_examples)
+            want = (record.predicted_sql, record.prompt_tokens,
+                    record.n_examples)
+            if got != want:
+                mismatches.append((record.example_id, got, want))
     assert len(report.records) == len(corpus.dev.examples)
     assert not mismatches, (
         f"{len(mismatches)}/{len(report.records)} served != batch: "
