@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import re
 
-from ..analysis.safety import split_statements
+from ..analysis.safety import (
+    classify_statement,
+    split_statements,
+    strip_leading_trivia,
+)
 
 _CODE_FENCE_RE = re.compile(r"```(?:sql)?\s*(.*?)```", re.DOTALL | re.IGNORECASE)
 _SELECT_RE = re.compile(r"\bSELECT\b", re.IGNORECASE)
+_CALL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\s*\(")
 
 
 def extract_sql(text: str, response_prefix: str = "SELECT") -> str:
     """Pull the SQL query out of a model response.
 
-    Strategy, in order: fenced code block → first SELECT onwards → treat
-    the whole text as a completion of ``response_prefix``.
+    Strategy, in order: fenced code block → first SELECT onwards → the
+    whole text when it opens with a statement keyword (``DROP TABLE t``
+    stays a DROP, for the safety gate to refuse) → treat the whole text
+    as a completion of ``response_prefix``.
 
     Returns the best-effort SQL string (possibly invalid — evaluation
     scores that as a failure, it is not this function's job to repair it).
@@ -38,11 +45,22 @@ def extract_sql(text: str, response_prefix: str = "SELECT") -> str:
         candidate = text[match.start():]
         return _truncate_at_boundary(candidate)
 
-    if response_prefix:
+    if response_prefix and not _opens_statement(text):
         # The model completed the prompt's lead-in ("SELECT" was in the
         # prompt, the response starts mid-query).
         return _truncate_at_boundary(f"{response_prefix} {text}")
     return _truncate_at_boundary(text)
+
+
+def _opens_statement(text: str) -> bool:
+    """True when ``text`` opens with a statement keyword (``DROP``,
+    ``DELETE``, ``INSERT``, ...): a whole statement, not a completion of
+    the prompt's lead-in.  A keyword called as a function, as in
+    ``replace(name, 'a', 'b') FROM t``, still opens a completion."""
+    return (
+        classify_statement(text) != "unknown"
+        and _CALL_RE.match(strip_leading_trivia(text)) is None
+    )
 
 
 def _truncate_at_boundary(sql: str) -> str:

@@ -12,6 +12,22 @@ the typed error hierarchy onto status codes::
     CircuitOpenError      503   LLM backend circuit open
     DeadlineExceededError 504   request budget expired
     ReproError            500   anything else from the library
+    Transfer-Encoding     501   only Content-Length bodies are read
+
+The handler reads request heads itself: stdlib's request-line rules,
+then the header lines into a small case-insensitive :class:`_Headers`
+(stdlib's ``http.client.parse_headers`` runs the whole :mod:`email`
+parser for a handful of lines, which was over half of a warm request's
+server CPU).  It keeps stdlib's limits and outcomes — 431 for a line
+over 65,536 bytes or more than 100 lines, 400 for a bad request or
+header line, 505 for HTTP/2 and later, ``Connection``, HTTP/1.0 and
+``Expect: 100-continue`` as stdlib handles them.  A POST body is read,
+whatever its path, only when one ``Content-Length`` frames it: a bad,
+negative, conflicting or oversized length (400) or a
+``Transfer-Encoding`` (501) closes the connection after the reply, so
+unread body bytes are never taken for the next request.  Each
+response — status line, headers and body — leaves in one write.  The
+listening socket queues 128 pending connections, not socketserver's 5.
 
 Endpoints::
 
@@ -28,7 +44,9 @@ Every request lands in the shared
 ``repro_http_request_seconds{path}`` and the
 ``repro_serve_inflight_requests`` gauge — the same registry the
 pipeline telemetry writes to, so one ``/metrics`` scrape
-tells the whole story.
+tells the whole story.  The server binds each series once
+(:class:`_RequestSeries`), so a request's samples skip the label
+canonicalisation.
 
 Every request also carries a correlation id: the server honours an
 inbound ``X-Request-Id`` header (sanitised) or mints a deterministic
@@ -44,8 +62,10 @@ import json
 import re
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
-from typing import Callable, Optional, Tuple
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from socketserver import ThreadingMixIn
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..api.wire import (
     ErrorResponse,
@@ -69,6 +89,8 @@ from ..obs.metrics import (
     M_HTTP_LATENCY,
     M_HTTP_REQUESTS,
     M_SERVE_INFLIGHT,
+    CounterSeries,
+    HistogramSeries,
     MetricsRegistry,
 )
 from .access_log import AccessLog
@@ -116,19 +138,206 @@ def _status_for(error: ReproError) -> Tuple[int, str]:
     return 500, "internal"
 
 
+#: stdlib's limits on a request head (``http.client``): the longest
+#: line, and the most lines, the blank line that ends the head included.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+
+#: One header line: a token name, a colon, the value (RFC 9112 §5).  A
+#: line it does not match — no colon, whitespace before the colon, an
+#: obs-fold continuation — is a 400.  Greedy and anchored, so a long
+#: line costs linear time.
+_HEADER_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):(.*)\n")
+
+
+class _Headers:
+    """A request's header fields by case-insensitive name.
+
+    :meth:`get` answers the first value of a repeated name, as
+    :class:`email.message.Message` does; :meth:`get_all` answers all.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self) -> None:
+        self._fields: Dict[str, List[str]] = {}
+
+    def add(self, name: str, value: str) -> None:
+        self._fields.setdefault(name.lower(), []).append(value)
+
+    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        values = self._fields.get(name.lower())
+        return values[0] if values else default
+
+    def get_all(self, name: str) -> Tuple[str, ...]:
+        return tuple(self._fields.get(name.lower(), ()))
+
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self._fields
+
+
+def _http_version(word: str) -> Optional[Tuple[int, int]]:
+    """``HTTP/<major>.<minor>`` as two ints, or ``None`` when malformed
+    (stdlib's rule: ASCII digits only, at most ten of each)."""
+    if not word.startswith("HTTP/"):
+        return None
+    parts = word[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10
+        for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
+class _RequestSeries:
+    """The transport's metric series, bound once per server.
+
+    A ``{path, status}`` pair is bound on its first request and kept, so
+    later requests record without canonicalising labels.  The registry
+    already holds one series per distinct path, so the memo grows with
+    it and no faster.
+    """
+
+    def __init__(self, registry: MetricsRegistry):
+        self._registry = registry
+        self.inflight = registry.bind_gauge(M_SERVE_INFLIGHT)
+        self._requests: Dict[Tuple[str, int], CounterSeries] = {}
+        self._latency: Dict[str, HistogramSeries] = {}
+
+    def requests(self, path: str, status: int) -> CounterSeries:
+        series = self._requests.get((path, status))
+        if series is None:
+            series = self._requests.setdefault(
+                (path, status),
+                self._registry.bind_counter(
+                    M_HTTP_REQUESTS, {"path": path, "status": str(status)}
+                ),
+            )
+        return series
+
+    def latency(self, path: str) -> HistogramSeries:
+        series = self._latency.get(path)
+        if series is None:
+            series = self._latency.setdefault(
+                path,
+                self._registry.bind_histogram(M_HTTP_LATENCY, {"path": path}),
+            )
+        return series
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One request.  The server instance carries the service/registry."""
 
     server: "SqlServer"
     protocol_version = "HTTP/1.1"
-    # Headers and body are separate writes; with Nagle's algorithm on,
-    # the body waits for the client's delayed ACK (~40 ms per response).
+    # A response is one write, but the 100-continue interim reply is a
+    # write of its own; with Nagle's algorithm on, a write that follows
+    # an unacknowledged one waits for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # metrics carry the signal; stderr stays quiet
+
+    def parse_request(self) -> bool:
+        """Parse the request line (stdlib's rules) and the header lines.
+
+        Sets ``command``, ``path``, ``request_version``, ``headers`` and
+        ``close_connection`` as stdlib's ``parse_request`` does; on a
+        malformed head sends the error reply and returns ``False``.
+        Unlike stdlib, a bad or unsupported version on a three-word
+        request line is answered with a status line.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            # Set first, so an error reply carries a status line (stdlib
+            # sends a bare HTML body, as to an HTTP/0.9 client).
+            self.request_version = words[-1]
+            version = _http_version(words[-1])
+            if version is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad request version ({words[-1]!r})",
+                )
+                return False
+            if version >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({words[-1][5:]})",
+                )
+                return False
+            self.close_connection = version < (1, 1)
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST,
+                f"Bad request syntax ({self.requestline!r})",
+            )
+            return False
+        self.command, self.path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if self.command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad HTTP/0.9 request type ({self.command!r})",
+                )
+                return False
+        if self.path.startswith("//"):  # gh-87389, as stdlib
+            self.path = "/" + self.path.lstrip("/")
+        headers = self._read_headers()
+        if headers is None:
+            return False
+        self.headers = headers
+        connection = headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def _read_headers(self) -> Optional[_Headers]:
+        """The header lines up to the blank line, or ``None`` once a
+        431 or 400 reply is sent."""
+        headers = _Headers()
+        readline = self.rfile.readline
+        for _ in range(_MAX_HEAD_LINES):
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {_MAX_LINE} bytes when reading header line",
+                )
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            match = _HEADER_LINE.fullmatch(line)
+            if match is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, "Bad header line", repr(line[:64]),
+                )
+                return None
+            name, value = match.groups()
+            headers.add(
+                name.decode("ascii"),
+                value.strip(b" \t\r").decode("iso-8859-1"),
+            )
+        self.send_error(
+            HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+            "Too many headers", f"got more than {_MAX_HEAD_LINES} headers",
+        )
+        return None
 
     def _begin(self) -> str:
         """Assign this request its correlation id: the sanitised
@@ -142,19 +351,32 @@ class _Handler(BaseHTTPRequestHandler):
         self._completion_tokens = 0
         return rid
 
-    def _send_json(self, status: int, payload: dict,
-                   extra_headers: Optional[dict] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+    def _send(self, status: int, content_type: str, body: bytes,
+              extra_headers: Optional[dict] = None) -> None:
+        """Write the whole response — status line, headers, body — in
+        one ``wfile.write``, so it leaves in one ``sendall``."""
+        if self.request_version == "HTTP/0.9":  # no head, as stdlib
+            self.wfile.write(body)
+            return
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
         rid = getattr(self, "_request_id", "")
         if rid:
-            self.send_header("X-Request-Id", rid)
+            lines.append(f"X-Request-Id: {rid}")
         for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            lines.append(f"{name}: {value}")
+        lines.append("\r\n")
+        self.wfile.write("\r\n".join(lines).encode("latin-1") + body)
+
+    def _send_json(self, status: int, payload: dict,
+                   extra_headers: Optional[dict] = None) -> None:
+        self._send(status, "application/json",
+                   json.dumps(payload).encode("utf-8"), extra_headers)
 
     def _error_reply(self, error: ReproError) -> Tuple[int, dict, dict]:
         status, kind = _status_for(error)
@@ -179,13 +401,10 @@ class _Handler(BaseHTTPRequestHandler):
         counted on a follow-up ``/metrics`` scrape, even when the
         handler thread is still unwinding.
         """
-        registry = self.server.metrics
-        registry.counter_add(
-            M_HTTP_REQUESTS, 1, {"path": path, "status": str(status)}
-        )
-        registry.observe(
-            M_HTTP_LATENCY, time.monotonic() - started, {"path": path}
-        )
+        latency_s = time.monotonic() - started
+        series = self.server.series
+        series.requests(path, status).add()
+        series.latency(path).observe(latency_s)
         log = self.server.access_log
         if log is not None:
             log.record(
@@ -195,7 +414,7 @@ class _Handler(BaseHTTPRequestHandler):
                 method=method,
                 path=path,
                 status=status,
-                latency_s=time.monotonic() - started,
+                latency_s=latency_s,
                 prompt_tokens=getattr(self, "_prompt_tokens", 0),
                 completion_tokens=getattr(self, "_completion_tokens", 0),
             )
@@ -218,15 +437,10 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/metrics":
             self._record(path, 200, started, method="GET")
             text, _ = self.server.metrics.scrape()
-            body = text.encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+            self._send(
+                200, "text/plain; version=0.0.4; charset=utf-8",
+                text.encode("utf-8"),
             )
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("X-Request-Id", self._request_id)
-            self.end_headers()
-            self.wfile.write(body)
             return
         self._record(path, 404, started, method="GET")
         self._send_json(404, ErrorResponse(
@@ -240,32 +454,63 @@ class _Handler(BaseHTTPRequestHandler):
         started = time.monotonic()
         self._begin()
         path = self.path.split("?", 1)[0]
-        route = _ROUTES.get(path)
-        if route is None:
-            self._record(path, 404, started)
-            self._send_json(404, ErrorResponse(
-                error="not_found", message=f"no such endpoint: {path}",
-                request_id=self._request_id,
-            ).to_json())
-            return
-        registry = self.server.metrics
-        registry.gauge_add(M_SERVE_INFLIGHT, 1)
+        inflight = self.server.series.inflight
+        inflight.add(1)
         try:
-            status, payload, headers = self._handle_post(route)
+            status, payload, headers = self._handle_post(path)
         finally:
-            registry.gauge_add(M_SERVE_INFLIGHT, -1)
+            inflight.add(-1)
         self._record(path, status, started)
         self._send_json(status, payload, headers)
 
-    def _handle_post(self, route) -> Tuple[int, dict, dict]:
-        parse, method = route
+    def _content_length(self) -> int:
+        """The body's length, from its one ``Content-Length``."""
+        values = set(self.headers.get_all("Content-Length")) or {"0"}
+        if len(values) > 1:
+            raise WireFormatError(
+                f"conflicting Content-Length values: {sorted(values)}"
+            )
+        (value,) = values
+        if not (value.isascii() and value.isdigit()):
+            raise WireFormatError(f"bad Content-Length: {value!r}")
+        length = int(value)
+        if length > MAX_BODY_BYTES:
+            raise WireFormatError(
+                f"request body too large ({length} > {MAX_BODY_BYTES} bytes)"
+            )
+        return length
+
+    def _unframed(self, status: int, kind: str,
+                  message: str) -> Tuple[int, dict, dict]:
+        """The reply to a body the server will not read.  Its bytes stay
+        on the socket, so the connection closes after the reply rather
+        than take them for the next request."""
+        self.close_connection = True
+        return status, ErrorResponse(
+            error=kind, message=message, request_id=self._request_id,
+        ).to_json(), {"Connection": "close"}
+
+    def _handle_post(self, path: str) -> Tuple[int, dict, dict]:
+        if "Transfer-Encoding" in self.headers:
+            return self._unframed(
+                501, "not_implemented",
+                "Transfer-Encoding is not supported; send the body with "
+                "a Content-Length",
+            )
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            if length > MAX_BODY_BYTES:
-                raise WireFormatError(
-                    f"request body too large ({length} > {MAX_BODY_BYTES} bytes)"
-                )
+            length = self._content_length()
+        except WireFormatError as error:
+            return self._unframed(400, "wire_format", str(error))
+        route = _ROUTES.get(path)
+        try:
+            # Read before routing: the next request starts after the body.
             raw = self.rfile.read(length) if length else b""
+            if route is None:
+                return 404, ErrorResponse(
+                    error="not_found", message=f"no such endpoint: {path}",
+                    request_id=self._request_id,
+                ).to_json(), {}
+            parse, method = route
             try:
                 payload = json.loads(raw.decode("utf-8") or "null")
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -287,14 +532,32 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, response.to_json(), {}
 
 
+class _HTTPServer(HTTPServer):
+    """stdlib's serial server with a deeper listen backlog.
+
+    socketserver listens with a backlog of 5.  A few clients connecting
+    at once overflow it, and the kernel retries a dropped connection
+    only after a second, which became the serve load gate's warm p99.
+    """
+
+    request_queue_size = 128
+
+
+class _ThreadingHTTPServer(ThreadingMixIn, _HTTPServer):
+    """One thread per connection, as :class:`~http.server.ThreadingHTTPServer`."""
+
+    daemon_threads = True
+
+
 class SqlServer:
     """A serving endpoint: HTTP transport + service + shared registry.
 
     Args:
         service: the serving core (owns plan, breaker, limiter).
         host / port: bind address; port 0 picks a free port (tests).
-        threaded: ``True`` uses :class:`ThreadingHTTPServer` (one thread
-            per connection); ``False`` a serial :class:`HTTPServer` —
+        threaded: ``True`` serves one thread per connection (as
+            :class:`~http.server.ThreadingHTTPServer`); ``False`` a
+            serial :class:`~http.server.HTTPServer` —
             the determinism tests assert both produce identical bodies.
         access_log: structured JSONL access log (``None`` — the
             default — logs nothing); owned and closed by :meth:`close`.
@@ -321,12 +584,14 @@ class SqlServer:
             self.metrics,
             backend=getattr(service.runner, "backend_name", ""),
         )
-        server_cls = ThreadingHTTPServer if threaded else HTTPServer
+        server_cls = _ThreadingHTTPServer if threaded else _HTTPServer
         self._httpd = server_cls((host, port), _Handler)
-        self._httpd.daemon_threads = True  # type: ignore[attr-defined]
         # The handler reaches collaborators through its ``server``.
         self._httpd.service = service  # type: ignore[attr-defined]
         self._httpd.metrics = self.metrics  # type: ignore[attr-defined]
+        self._httpd.series = _RequestSeries(  # type: ignore[attr-defined]
+            self.metrics
+        )
         self._httpd.started = self.started  # type: ignore[attr-defined]
         self._httpd.access_log = access_log  # type: ignore[attr-defined]
         self._httpd.next_request_id = (  # type: ignore[attr-defined]

@@ -107,6 +107,20 @@ class TestPipelineGate:
         stats = runner.cache.stats()
         assert "gold" not in stats and "execute" not in stats
 
+    def test_statement_answer_under_select_lead_in_is_gated(
+        self, corpus, dev_example
+    ):
+        """CR_P's prompt ends with "SELECT"; extraction must not turn a
+        DROP answer into ``SELECT DROP ...`` (a parse error)."""
+        runner = fresh_runner(corpus)
+        plan = replace(runner.prepare(ZERO_SHOT), llm=DropTableLLM())
+        assert plan.config.representation == "CR_P"
+        record = runner.pipeline.run(dev_example, plan)
+        assert record.predicted_sql == "DROP TABLE students"
+        assert record.error_class == "lint:safety.non-select"
+        stats = runner.cache.stats()
+        assert "gold" not in stats and "execute" not in stats
+
     def test_weak_model_records_carry_lint_gate(self, corpus):
         """Every lint-gated record scores as a miss with an empty
         ``error`` (nothing raised) and a ``lint:`` error class."""

@@ -31,6 +31,17 @@ class TestExtraction:
         assert extract_sql("name FROM singer", response_prefix="SELECT") == \
             "SELECT name FROM singer"
 
+    def test_statement_answer_is_not_prefixed(self):
+        for text in ("DROP TABLE singer", "delete FROM singer",
+                     "INSERT INTO t VALUES (1)", "UPDATE t SET a = 1",
+                     "CREATE TABLE t (a)", "ALTER TABLE t ADD b",
+                     "-- why\nPRAGMA table_info(t)"):
+            assert extract_sql(text, response_prefix="SELECT") == text
+
+    def test_keyword_called_as_function_is_a_completion(self):
+        assert extract_sql("replace(name, 'a', 'b') FROM t") == \
+            "SELECT replace(name, 'a', 'b') FROM t"
+
     def test_no_prefix_passthrough(self):
         assert extract_sql("name FROM t", response_prefix="") == "name FROM t"
 

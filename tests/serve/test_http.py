@@ -17,7 +17,7 @@ import pytest
 from repro.eval.harness import BenchmarkRunner
 from repro.obs.metrics import MetricsRegistry, parse_prometheus
 from repro.serve import SqlServer, SqlService
-from repro.serve.http import _Handler
+from repro.serve.http import MAX_BODY_BYTES, _Handler
 from repro.serve.ratelimit import RateLimiter
 from repro.resilience.breaker import CircuitBreaker
 
@@ -204,9 +204,10 @@ class TestStatusMapping:
 
 
 class TestSocket:
-    """Each response leaves as soon as it is written: headers and body
-    are separate writes, and with Nagle's algorithm on the body waits
-    for the client's delayed ACK of the headers (~40 ms on Linux)."""
+    """Each response leaves as soon as it is written.  A response is one
+    write, but the ``Expect: 100-continue`` interim reply is a write of
+    its own, and with Nagle's algorithm on the write after it would wait
+    for the client's delayed ACK (~40 ms on Linux)."""
 
     PATHS = ("/healthz", "/metrics")
 
@@ -240,6 +241,241 @@ class TestSocket:
         finally:
             connection.close()
         assert statistics.median(elapsed) < 0.02, elapsed
+
+
+def raw_exchange(address, data: bytes, timeout: float = 5.0) -> bytes:
+    """Send raw bytes and read until the server closes the connection.
+
+    The socket timeout makes a server that hangs, or keeps a connection
+    open that it should close, fail the test within ``timeout``."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def status_of(response: bytes) -> int:
+    return int(response.split(b" ", 2)[1])
+
+
+LINT_BODY = json.dumps({"db_id": "concert_singer",
+                        "sql": "SELECT count(*) FROM singer"}).encode()
+
+
+def lint_request(*header_lines: bytes, body: bytes = LINT_BODY) -> bytes:
+    return (b"POST /v1/lint HTTP/1.1\r\nHost: t\r\n"
+            + b"".join(line + b"\r\n" for line in header_lines)
+            + b"\r\n" + body)
+
+
+LENGTH = b"Content-Length: %d" % len(LINT_BODY)
+
+#: (id, raw request, expected status, expected wire error or None).
+#: Every request here must end with the server closing the connection.
+RAW_CASES = [
+    ("header-line-too-long",
+     b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+     431, None),
+    ("101-headers",
+     b"GET /healthz HTTP/1.1\r\n"
+     + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n",
+     431, None),
+    ("header-without-colon",
+     b"GET /healthz HTTP/1.1\r\nNo colon here\r\n\r\n", 400, None),
+    ("space-before-colon",
+     b"GET /healthz HTTP/1.1\r\nHost : t\r\n\r\n", 400, None),
+    ("obs-fold-continuation",
+     b"GET /healthz HTTP/1.1\r\nX-A: one\r\n  two\r\n\r\n", 400, None),
+    ("http-2", b"GET /healthz HTTP/2.0\r\n\r\n", 505, None),
+    ("bad-request-line", b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400, None),
+    ("http-1.0-closes", b"GET /healthz HTTP/1.0\r\n\r\n", 200, None),
+    ("connection-close-honoured",
+     b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", 200, None),
+    ("mixed-case-names",
+     lint_request(b"cOnNeCtIoN: CLOSE", b"content-LENGTH: %d" % len(LINT_BODY)),
+     200, None),
+    ("negative-content-length",
+     lint_request(b"Content-Length: -1"), 400, "wire_format"),
+    ("non-numeric-content-length",
+     lint_request(b"Content-Length: abc"), 400, "wire_format"),
+    ("conflicting-content-lengths",
+     lint_request(b"Content-Length: 5", LENGTH), 400, "wire_format"),
+    ("oversized-content-length",
+     lint_request(b"Content-Length: %d" % (MAX_BODY_BYTES + 1)),
+     400, "wire_format"),
+    ("chunked-transfer-encoding",
+     lint_request(b"Transfer-Encoding: chunked",
+                  body=b"%x\r\n" % len(LINT_BODY) + LINT_BODY + b"\r\n0\r\n\r\n"),
+     501, "not_implemented"),
+]
+
+
+class TestRawRequests:
+    """Request heads and body framing over a raw socket."""
+
+    @pytest.mark.parametrize(
+        "data, status, error", [case[1:] for case in RAW_CASES],
+        ids=[case[0] for case in RAW_CASES],
+    )
+    def test_status_and_close(self, server, data, status, error):
+        response = raw_exchange(server.address, data)
+        assert status_of(response) == status, response[:200]
+        if error is not None:
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert b"\r\nConnection: close" in head
+            assert json.loads(body)["error"] == error
+
+    def test_expect_100_continue_is_answered(self, server):
+        response = raw_exchange(server.address, lint_request(
+            b"Expect: 100-continue", LENGTH, b"Connection: close",
+        ))
+        interim, _, final = response.partition(b"\r\n\r\n")
+        assert interim == b"HTTP/1.1 100 Continue"
+        assert status_of(final) == 200
+
+    def test_repeated_name_keeps_first_value(self, server):
+        response = raw_exchange(server.address, lint_request(
+            LENGTH, b"X-Request-Id: first", b"x-request-id: second",
+            b"Connection: close",
+        ))
+        assert b"\r\nX-Request-Id: first\r\n" in response
+
+    def test_refused_body_is_never_read_as_a_request(self, server):
+        """After an unframed body is refused, the connection closes, so
+        its bytes are never read as a request; a new one is answered."""
+        response = raw_exchange(server.address, lint_request(
+            b"Transfer-Encoding: chunked",
+            body=b"GET /nope HTTP/1.1\r\n\r\n",
+        ))
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert status_of(raw_exchange(server.address, lint_request(
+            LENGTH, b"Connection: close",
+        ))) == 200
+
+
+    def test_unknown_post_path_reads_its_body(self, server):
+        """A 404 POST consumes its body, so the kept-alive connection
+        stays in step for the next request."""
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.request("POST", "/nope", body=b'{"a": 1}')
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 404
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+        finally:
+            connection.close()
+
+
+class TestResponseWrites:
+    def test_each_response_is_one_sendall(self, server, monkeypatch):
+        sends = []
+        setup = _Handler.setup
+
+        class Spy:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def sendall(self, data):
+                sends.append(bytes(data))
+                return self._sock.sendall(data)
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        def spy(handler):
+            setup(handler)
+            handler.wfile._sock = Spy(handler.wfile._sock)
+
+        monkeypatch.setattr(_Handler, "setup", spy)
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        requests = [
+            ("GET", "/healthz", None), ("GET", "/metrics", None),
+            ("GET", "/nope", None), ("POST", "/v1/lint", LINT_BODY),
+            ("POST", "/v1/lint", b"{not json"), ("POST", "/nope", b"{}"),
+        ]
+        try:
+            for method, path, body in requests:
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                payload = response.read()
+                assert sends[-1].endswith(payload) and payload
+        finally:
+            connection.close()
+        assert len(sends) == len(requests)
+        assert all(data.startswith(b"HTTP/1.1 ") for data in sends)
+
+
+class TestRequestMetrics:
+    def test_counts_are_exact_per_path_and_status(self, corpus):
+        with fresh_server(corpus) as instance:
+            for _ in range(3):
+                assert get(instance.url, "/healthz")[0] == 200
+            for _ in range(2):
+                assert get(instance.url, "/nope")[0] == 404
+            body = json.loads(LINT_BODY)
+            for _ in range(4):
+                assert post(instance.url, "/v1/lint", body)[0] == 200
+            assert post(instance.url, "/v1/lint", {})[0] == 400
+            assert status_of(raw_exchange(
+                instance.address, lint_request(b"Content-Length: -1"),
+            )) == 400
+            status, text = get(instance.url, "/metrics")
+        assert status == 200
+        counts = {
+            (labels["path"], labels["status"]): value
+            for name, labels, value in parse_prometheus(text)
+            if name == "repro_http_requests_total"
+        }
+        assert counts == {
+            ("/healthz", "200"): 3, ("/nope", "404"): 2,
+            ("/v1/lint", "200"): 4, ("/v1/lint", "400"): 2,
+            ("/metrics", "200"): 1,
+        }
+        latency = {
+            labels["path"]: value
+            for name, labels, value in parse_prometheus(text)
+            if name == "repro_http_request_seconds_count"
+        }
+        assert latency == {
+            "/healthz": 3, "/nope": 2, "/v1/lint": 6, "/metrics": 1,
+        }
+        inflight = [
+            value for name, _, value in parse_prometheus(text)
+            if name == "repro_serve_inflight_requests"
+        ]
+        assert inflight == [0]
+
+
+class TestListenBacklog:
+    def test_burst_of_connections_waits_in_the_backlog(self, corpus):
+        """Connections that arrive before the server accepts them queue
+        in the listen backlog.  socketserver's default of 5 drops the
+        rest, and the client retries a dropped one only after a second
+        (the serve load gate's warm p99 read about 1,000 ms)."""
+        runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(), seed=3)
+        instance = SqlServer(SqlService(runner, metrics=MetricsRegistry()), port=0)
+        sockets = []
+        try:
+            for _ in range(32):  # nothing accepts yet: all must queue
+                sockets.append(
+                    socket.create_connection(instance.address, timeout=0.5)
+                )
+        finally:
+            for sock in sockets:
+                sock.close()
+            with instance.start_background():  # close() joins the serve loop
+                pass
+        assert len(sockets) == 32
 
 
 class TestDeterminism:
