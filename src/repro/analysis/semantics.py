@@ -48,8 +48,11 @@ from ..sql.ast_nodes import (
     SelectCore,
     TableRef,
 )
-from ..sql.canonical import canonicalize, canonicalize_condition
-from ..sql.parser import try_parse
+from ..sql.canonical import (
+    canonical_query,
+    canonicalize,
+    canonicalize_condition,
+)
 from ..sql.tokens import AGGREGATES
 from ..sql.unparse import condition_text
 
@@ -93,14 +96,9 @@ def equivalent(
     """
     if isinstance(a, str) and isinstance(b, str) and a.strip() == b.strip():
         return EQUAL
-    qa = try_parse(a) if isinstance(a, str) else a
-    qb = try_parse(b) if isinstance(b, str) else b
-    if qa is None or qb is None:
-        return UNKNOWN
-    try:
-        ca = canonicalize(qa, schema)
-        cb = canonicalize(qb, schema)
-    except Exception:  # defensive: a rewrite bug must not break scoring
+    ca = _canonical(a, schema)
+    cb = _canonical(b, schema) if ca is not None else None
+    if ca is None or cb is None:
         return UNKNOWN
     if ca == cb:
         return EQUAL
@@ -122,6 +120,19 @@ def equivalent(
             # One-row results of different width differ everywhere.
             return DISTINCT
     return UNKNOWN
+
+
+def _canonical(
+    query: Union[str, Query], schema: Optional[DatabaseSchema]
+) -> Optional[Query]:
+    """The canonical form, ``None`` when unparseable or a rewrite fails
+    (text shares the parse scope's canonical form)."""
+    if isinstance(query, str):
+        return canonical_query(query, schema)
+    try:
+        return canonicalize(query, schema)
+    except Exception:  # defensive: a rewrite bug must not break scoring
+        return None
 
 
 def _schema_resolver(schema: Optional[DatabaseSchema]) -> Resolver:

@@ -80,6 +80,41 @@ def stable_digest(*parts) -> str:
     return hashlib.sha256(canonical_bytes(*parts)).hexdigest()
 
 
+class DigestPrefix:
+    """:func:`stable_digest` of ``(*head, [*items])``, hashed incrementally.
+
+    ``canonical_bytes`` encodes parts in order, so the encoding of the
+    head and of the list's leading items is a byte prefix of the whole.
+    A prefix hashes it once; :meth:`extend` and :meth:`digest` continue
+    from a ``copy()`` of that hash, so::
+
+        DigestPrefix(*head).extend(*items[:k]).digest(*items[k:])
+            == stable_digest(*head, list(items))
+
+    Callers whose keys share leading items (fingerprints, a prompt's
+    text) encode and hash them once instead of once per key.  A prefix
+    is immutable: extending or finishing it never changes it.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *head) -> None:
+        self._hash = hashlib.sha256(canonical_bytes(*head) + b"[")
+
+    def extend(self, *items) -> "DigestPrefix":
+        """A longer prefix: these items follow the ones already hashed."""
+        longer = DigestPrefix.__new__(DigestPrefix)
+        longer._hash = self._hash.copy()
+        longer._hash.update(canonical_bytes(*items))
+        return longer
+
+    def digest(self, *items) -> str:
+        """Hex digest of the whole key: the prefix, then ``items``."""
+        whole = self._hash.copy()
+        whole.update(canonical_bytes(*items) + b"]" + _SEP)
+        return whole.hexdigest()
+
+
 def digest_texts(texts: Iterable[str]) -> str:
     """Digest of an iterable of strings (dataset/corpus fingerprints).
 

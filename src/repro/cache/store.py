@@ -3,10 +3,13 @@
 ``ArtifactCache.get_or_compute(stage, key_parts, compute)`` is the one
 entry point every pipeline stage uses.  The key is a stable digest of
 ``(schema version, stage, *key_parts)``; the value is whatever the stage
-computes.  Lookups try memory, then disk, then compute — and every
-lookup reports hit/miss to the run's telemetry collector under the
-stage's name, so :class:`~repro.eval.telemetry.RunTelemetry` cache
-counters are fed uniformly by every stage.  With a metrics registry
+computes.  Leading parts shared by many keys (fingerprints) can be
+hashed once, as a prefix from :meth:`ArtifactCache.prefix`; the digest
+is the same either way.  Lookups try memory, then disk, then
+compute — and every lookup reports hit/miss to the run's telemetry
+collector under the stage's name, so
+:class:`~repro.eval.telemetry.RunTelemetry` cache counters are fed
+uniformly by every stage.  With a metrics registry
 attached (:meth:`ArtifactCache.set_metrics` — the evaluation engine
 does this per run), lookups additionally count per-tier events
 (``memory_hit`` / ``disk_hit`` / ``miss`` / ``disk_write`` /
@@ -30,7 +33,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
-from .keys import CACHE_SCHEMA_VERSION, stable_digest
+from .keys import CACHE_SCHEMA_VERSION, DigestPrefix, stable_digest
 from .lru import LRUCache
 
 if TYPE_CHECKING:
@@ -46,6 +49,11 @@ DEFAULT_MEMORY_ENTRIES = 65_536
 _MISSING = object()
 
 _STATS_FILE = "stats.json"
+
+#: Most key prefixes an :class:`ArtifactCache` keeps.  Prefixes are
+#: keyed by fingerprints (one per client, strategy or database), so a
+#: run holds a handful; the bound only stops a pathological caller.
+_MAX_PREFIXES = 1024
 
 
 class DiskTier:
@@ -267,6 +275,8 @@ class ArtifactCache:
         self._metrics = None
         # Its tier-event counters, bound per (stage, event) on first use.
         self._event_series: Dict[Tuple[str, str], "CounterSeries"] = {}
+        # Key prefixes per (stage, *leading parts); see prefix().
+        self._prefixes: Dict[tuple, DigestPrefix] = {}
 
     def annotate_backend(self, name: str) -> None:
         """Label this cache with an execution-backend name (flushed to
@@ -308,9 +318,35 @@ class ArtifactCache:
 
     # -- the one lookup path -------------------------------------------------
 
-    def key(self, stage: str, key_parts) -> str:
-        """The content digest for a stage artifact."""
-        return stable_digest(CACHE_SCHEMA_VERSION, stage, list(key_parts))
+    def prefix(self, stage: str, *parts) -> DigestPrefix:
+        """The hashed leading parts of ``stage``'s keys, for
+        :meth:`key` and :meth:`get_or_compute` of that stage.
+
+        Kept per ``(stage, *parts)``, so pass only parts shared by many
+        keys for the life of the cache — fingerprints of a client, a
+        strategy or a database — never per-example text (``extend`` the
+        returned prefix with that instead).
+        """
+        key = (stage,) + parts
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            if len(self._prefixes) >= _MAX_PREFIXES:
+                self._prefixes.clear()
+            prefix = self._prefixes[key] = DigestPrefix(
+                CACHE_SCHEMA_VERSION, stage
+            ).extend(*parts)
+        return prefix
+
+    def key(self, stage: str, key_parts,
+            prefix: Optional[DigestPrefix] = None) -> str:
+        """The content digest for a stage artifact.
+
+        With a ``prefix`` of this stage, ``key_parts`` are the parts
+        after it; the digest is the one of the whole key either way.
+        """
+        if prefix is None:
+            return stable_digest(CACHE_SCHEMA_VERSION, stage, list(key_parts))
+        return prefix.digest(*key_parts)
 
     def get_or_compute(
         self,
@@ -321,6 +357,7 @@ class ArtifactCache:
         persist: bool = True,
         encode: Optional[Callable] = None,
         decode: Optional[Callable] = None,
+        prefix: Optional[DigestPrefix] = None,
     ):
         """The artifact for ``(stage, key_parts)``, computing on miss.
 
@@ -330,12 +367,14 @@ class ArtifactCache:
         connections) are memory-only.  ``encode``/``decode`` convert
         between the runtime value and its JSON form (e.g. row tuples
         ↔ lists); the memory tier always holds the runtime value.
+        ``prefix`` (from :meth:`prefix`) stands for the key's leading
+        parts; ``key_parts`` then hold the rest (see :meth:`key`).
 
         ``compute`` must be a pure function of the key parts — that is
         what makes racing duplicate computations, cross-config sharing
         and cross-process reuse all safe.
         """
-        digest = self.key(stage, key_parts)
+        digest = self.key(stage, key_parts, prefix)
         value = self._memory.get((stage, digest), _MISSING)
         if value is not _MISSING:
             self._record(stage, collector, hit=True)

@@ -150,17 +150,23 @@ def _generate(config: CorpusConfig, pool: DatabasePool) -> Corpus:
         # Hardness is read off the template's AST, so the corpus never
         # parses its own gold SQL; every generated query round-trips
         # (``parse(unparse(ast)) == ast``), so the bucket is the one a
-        # parse of ``query`` would give.
-        examples = [
-            Example(
+        # parse of ``query`` would give.  A dev example also keeps the
+        # AST as the parse of its gold SQL, which each evaluation of it
+        # seeds its parse scope with.  The train pool is read only as
+        # demonstrations; keeping its ASTs would cost about 1.6 MB of
+        # peak RSS on the full corpus for no parse saved.
+        examples = []
+        for i, g in enumerate(generated):
+            example = Example(
                 db_id=spec.db_id,
                 question=g.question,
                 query=g.sql,
                 example_id=f"{spec.db_id}-{i}",
                 hardness=hardness(g.query),
             )
-            for i, g in enumerate(generated)
-        ]
+            if spec.group == "dev":
+                example.keep_gold_ast(g.query)
+            examples.append(example)
         if spec.group == "dev":
             dev_schemas.append(schema)
             dev_examples.extend(examples)
@@ -237,15 +243,15 @@ def spider_realistic(dataset: SpiderDataset) -> SpiderDataset:
                 rewritten.append(replacement + trailing)
             else:
                 rewritten.append(word)
-        transformed.append(
-            Example(
-                db_id=example.db_id,
-                question=" ".join(rewritten),
-                query=example.query,
-                example_id=f"{example.example_id}-realistic",
-                hardness=example.hardness,
-            )
+        paraphrased = Example(
+            db_id=example.db_id,
+            question=" ".join(rewritten),
+            query=example.query,
+            example_id=f"{example.example_id}-realistic",
+            hardness=example.hardness,
         )
+        paraphrased.keep_gold_ast(example.gold_ast)
+        transformed.append(paraphrased)
     return SpiderDataset(
         transformed, list(dataset.schemas.values()),
         name=f"{dataset.name}-realistic",

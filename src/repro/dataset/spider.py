@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import DatasetError
 from ..schema.linker import SchemaLinker
@@ -26,6 +26,7 @@ from ..schema.model import (
     schema_from_spider_entry,
     schema_to_spider_entry,
 )
+from ..sql.ast_nodes import Query
 from ..sql.hardness import hardness
 from ..sql.parser import try_parse
 from ..sql.skeleton import sql_skeleton
@@ -44,6 +45,12 @@ class Example:
             computed eagerly in ``__post_init__`` by parsing ``query``
             (``"extra"`` if the query does not parse); the corpus
             generator passes it in from the gold AST instead.
+
+    Outside its fields an example keeps the gold AST when one is at
+    hand: the parse ``__post_init__`` makes, or the AST the corpus
+    generator unparsed ``query`` from (:meth:`keep_gold_ast`).  An
+    evaluation seeds its parse scope with it, so the gold SQL is never
+    tokenized per example.
     """
 
     db_id: str
@@ -53,9 +60,29 @@ class Example:
     hardness: str = ""
 
     def __post_init__(self):
+        self._gold: Optional[Tuple[str, Query]] = None
         if not self.hardness:
             parsed = try_parse(self.query)
             self.hardness = hardness(parsed) if parsed is not None else "extra"
+            self.keep_gold_ast(parsed)
+
+    def keep_gold_ast(self, ast: Optional[Query]) -> None:
+        """Keep ``ast`` as the parse of :attr:`query`.
+
+        The caller vouches that ``parse(query) == ast``: ``ast`` was
+        parsed from ``query``, or ``query`` is ``unparse(ast)`` (every
+        generated query round-trips).
+        """
+        self._gold = (self.query, ast) if ast is not None else None
+
+    @property
+    def gold_ast(self) -> Optional[Query]:
+        """The kept parse of :attr:`query`, or ``None`` (none was kept,
+        or ``query`` was reassigned since)."""
+        gold = self._gold
+        if gold is not None and gold[0] is self.query:
+            return gold[1]
+        return None
 
     def to_json(self) -> dict:
         return {

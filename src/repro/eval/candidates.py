@@ -214,6 +214,8 @@ class _Search:
         self.db_id = db_id
         self.collector = collector
         self.check = check
+        # The samples of a vote share one prompt: hash its key once.
+        self.prompt_key = pipeline.prompt_key(llm, prompt)
 
     def memo(self) -> Optional[Dict[str, Dict]]:
         """A fresh equivalence-class memo (``None``: dedup is off)."""
@@ -225,7 +227,8 @@ class _Search:
         collector = self.collector
         with collector.stage("generate"):
             generation = self.pipeline.generation(
-                self.llm, prompt, tag, collector
+                self.llm, prompt, tag, collector,
+                key=self.prompt_key if prompt is self.prompt else None,
             )
         with collector.stage("extract"):
             sql = extract_sql(generation["text"], prompt.response_prefix)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..sql.canonical import core_components, query_key, resolve_aliases
-from ..sql.parser import try_parse
+from ..sql.canonical import core_components, query_key, resolved_query
 from ..sql.ast_nodes import Query
 
 COMPONENTS = (
@@ -32,15 +31,13 @@ COMPONENTS = (
 def component_match(gold_sql: str, pred_sql: str) -> Optional[Dict[str, bool]]:
     """Per-component verdicts, or ``None`` when either query fails to parse.
 
-    Both queries are alias-resolved first; components compare as sets with
-    literal values masked.
+    Both queries are alias-resolved first (once per string inside a
+    parse scope); components compare as sets with literal values masked.
     """
-    gold_query = try_parse(gold_sql)
-    pred_query = try_parse(pred_sql)
+    gold_query = resolved_query(gold_sql)
+    pred_query = resolved_query(pred_sql)
     if gold_query is None or pred_query is None:
         return None
-    gold_query = resolve_aliases(gold_query)
-    pred_query = resolve_aliases(pred_query)
 
     gold_parts = gold_query.flatten_set_ops()
     pred_parts = pred_query.flatten_set_ops()

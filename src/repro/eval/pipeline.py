@@ -43,6 +43,12 @@ list.  With repair enabled, analysis also runs the deterministic repair
 pass and re-analyzes, so the record shows the original and the repaired
 SQL side by side.
 
+Each key's leading fingerprints (client, strategy, analyzer version
+and database) are hashed once per cache as a key prefix
+(:meth:`~repro.cache.store.ArtifactCache.prefix`), and a search hashes
+its prompt's text once for all of its samples (:meth:`prompt_key`);
+digests equal those of the whole keys.
+
 ``build`` and ``score`` are cheap pure functions and are always
 recomputed.  Because keys are pure content hashes, artifacts are
 shared across grid configs within a sweep (the DAIL preliminary pass
@@ -65,6 +71,7 @@ from ..analysis.analyzer import ANALYZER_VERSION, analyze
 from ..analysis.repair import repair as repair_sql
 from ..analysis.semantics import EQUAL, equivalent
 from ..errors import ExecutionError, SQLSyntaxError
+from ..cache.keys import DigestPrefix
 from ..cache.store import ArtifactCache
 from ..dataset.spider import Example, SpiderDataset
 from ..db.execution import results_match
@@ -79,7 +86,7 @@ from ..repair.taxonomy import classify_execution_error
 from ..selection.strategies import DailSelection
 from ..sql.canonical import canonical_fingerprint
 from ..sql.dialect import REFERENCE_DIALECT
-from ..sql.parser import parse_scope
+from ..sql.parser import parse_scope, seed_parse
 from ..sql.transpile import transpile
 from .candidates import search
 from .exact_match import exact_match
@@ -214,13 +221,15 @@ class EvalPipeline:
         """Evaluate one example under one plan (thread-safe).
 
         The example runs in one :func:`~repro.sql.parser.parse_scope`, so
-        each distinct SQL string is parsed once across its steps.
+        each distinct SQL string is parsed once across its steps, and the
+        gold SQL not at all when the example keeps its gold AST.
 
         Raises:
             Exception: whatever a step raises; the engine isolates it
                 into an errored record.
         """
         with parse_scope():
+            seed_parse(example.query, example.gold_ast)
             _, prompt = self.prompt(
                 plan, example.question, example.db_id, collector
             )
@@ -288,12 +297,23 @@ class EvalPipeline:
 
     # -- cached artifact accessors -------------------------------------------
 
-    def generation(self, llm, prompt, sample_tag: str, collector) -> Dict:
+    def prompt_key(self, llm, prompt) -> DigestPrefix:
+        """The ``generate`` key prefix of one prompt: the client
+        fingerprint (hashed once per client), then the prompt's text.
+        A search hashes its prompt once for all of its samples."""
+        return self.cache.prefix(
+            "generate", client_fingerprint(llm)
+        ).extend(prompt.text)
+
+    def generation(self, llm, prompt, sample_tag: str, collector,
+                   key: Optional[DigestPrefix] = None) -> Dict:
         """The ``generate`` artifact: raw text + completion tokens.
 
         Cache misses — the calls that actually hit the model — also feed
         the collector's cost meter, so token/cost counters reflect real
-        spend and stay zero on warm replays.
+        spend and stay zero on warm replays.  ``key`` is
+        :meth:`prompt_key` of ``llm`` and ``prompt``, when the caller
+        holds it.
         """
 
         def compute() -> Dict:
@@ -307,10 +327,8 @@ class EvalPipeline:
             }
 
         return self.cache.get_or_compute(
-            "generate",
-            (client_fingerprint(llm), prompt.text, sample_tag),
-            compute,
-            collector=collector,
+            "generate", (sample_tag,), compute, collector=collector,
+            prefix=key or self.prompt_key(llm, prompt),
         )
 
     def selection_blocks(
@@ -338,15 +356,10 @@ class EvalPipeline:
 
         refs = self.cache.get_or_compute(
             "select",
-            (
-                strategy.fingerprint(),
-                question,
-                db_id,
-                plan.config.k,
-                predicted or "",
-            ),
+            (question, db_id, plan.config.k, predicted or ""),
             compute,
             collector=collector,
+            prefix=self.cache.prefix("select", strategy.fingerprint()),
         )
         return [
             ExampleBlock(
@@ -389,9 +402,12 @@ class EvalPipeline:
 
         return self.cache.get_or_compute(
             "preliminary",
-            (client_fingerprint(plan.llm), prompt.text),
+            (prompt.text,),
             compute,
             collector=collector,
+            prefix=self.cache.prefix(
+                "preliminary", client_fingerprint(plan.llm)
+            ),
         )
 
     def analysis(
@@ -454,15 +470,12 @@ class EvalPipeline:
 
         return self.cache.get_or_compute(
             "analyze",
-            (
-                ANALYZER_VERSION,
-                self.pool.fingerprint(db_id),
-                sql,
-                "repair" if do_repair else "plain",
-                dialect_name,
-            ),
+            (sql, "repair" if do_repair else "plain", dialect_name),
             compute,
             collector=collector,
+            prefix=self.cache.prefix(
+                "analyze", ANALYZER_VERSION, self.pool.fingerprint(db_id)
+            ),
         )
 
     def gold_rows(self, example: Example, collector):
@@ -488,9 +501,12 @@ class EvalPipeline:
 
         return self.cache.get_or_compute(
             "gold",
-            (self.pool.fingerprint(example.db_id), example.query),
+            (example.query,),
             compute,
             collector=collector,
+            prefix=self.cache.prefix(
+                "gold", self.pool.fingerprint(example.db_id)
+            ),
             encode=lambda rows: [list(row) for row in rows],
             decode=lambda rows: [tuple(row) for row in rows],
         )
@@ -551,9 +567,10 @@ class EvalPipeline:
 
         return self.cache.get_or_compute(
             "execute",
-            (self.pool.fingerprint(db_id), sql),
+            (sql,),
             compute,
             collector=collector,
+            prefix=self.cache.prefix("execute", self.pool.fingerprint(db_id)),
             encode=encode,
             decode=decode,
         )

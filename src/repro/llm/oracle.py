@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 
 from ..dataset.spider import Example, SpiderDataset
 from ..schema.model import DatabaseSchema
+from ..sql.parser import seed_parse
 from ..utils.text import normalize_whitespace
 
 
@@ -37,8 +38,16 @@ class GoldOracle:
         return (db_id, normalize_whitespace(question).lower())
 
     def lookup(self, db_id: str, question: str) -> Optional[Example]:
-        """The gold example for a question, or ``None`` if unknown."""
-        return self._examples.get(self._key(db_id, question))
+        """The gold example for a question, or ``None`` if unknown.
+
+        Inside a parse scope (a served request's, say) the example's
+        gold AST is seeded into it, so the simulator's parses of the
+        gold SQL never tokenize it.
+        """
+        example = self._examples.get(self._key(db_id, question))
+        if example is not None:
+            seed_parse(example.query, example.gold_ast)
+        return example
 
     def fingerprint(self) -> str:
         """Stable content digest of the oracle's (question → gold) map.

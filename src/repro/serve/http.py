@@ -12,6 +12,7 @@ the typed error hierarchy onto status codes::
     CircuitOpenError      503   LLM backend circuit open
     DeadlineExceededError 504   request budget expired
     ReproError            500   anything else from the library
+    body read timeout     408   body shorter than its Content-Length
     Transfer-Encoding     501   only Content-Length bodies are read
 
 The handler reads request heads itself: stdlib's request-line rules,
@@ -21,13 +22,18 @@ parser for a handful of lines, which was over half of a warm request's
 server CPU).  It keeps stdlib's limits and outcomes — 431 for a line
 over 65,536 bytes or more than 100 lines, 400 for a bad request or
 header line, 505 for HTTP/2 and later, ``Connection``, HTTP/1.0 and
-``Expect: 100-continue`` as stdlib handles them.  A POST body is read,
-whatever its path, only when one ``Content-Length`` frames it: a bad,
-negative, conflicting or oversized length (400) or a
-``Transfer-Encoding`` (501) closes the connection after the reply, so
-unread body bytes are never taken for the next request.  Each
-response — status line, headers and body — leaves in one write.  The
-listening socket queues 128 pending connections, not socketserver's 5.
+``Expect: 100-continue`` as stdlib handles them.  A request body, GET
+or POST and whatever its path, is read only when one ``Content-Length``
+frames it (a GET's is read and discarded): a bad, negative,
+conflicting or oversized length (400) or a ``Transfer-Encoding`` (501)
+closes the connection after the reply, so unread body bytes are never
+taken for the next request.  The body's bytes must arrive within
+:data:`BODY_READ_TIMEOUT_S` of the head; a client that sends fewer
+gets a 408 and the connection closes, rather than hold its handler
+thread until it hangs up.  A kept-alive connection idle between
+requests has no timeout.  Each response — status line, headers and
+body — leaves in one write.  The listening socket queues 128 pending
+connections, not socketserver's 5.
 
 Endpoints::
 
@@ -60,6 +66,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 from http import HTTPStatus
@@ -98,6 +105,10 @@ from .service import SqlService
 
 #: Largest accepted request body (bytes) — a crude but effective guard.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest wait (seconds) for a request body, from the end of its head
+#: to its last byte; a body still short then is answered 408.
+BODY_READ_TIMEOUT_S = 5.0
 
 #: Correlation ids: client-supplied ids are reduced to this alphabet
 #: and capped, so they are safe as header echoes, JSON values, span
@@ -224,6 +235,16 @@ class _RequestSeries:
                 self._registry.bind_histogram(M_HTTP_LATENCY, {"path": path}),
             )
         return series
+
+
+class _Refused(Exception):
+    """A request body the server will not or could not read: the
+    reply's status, wire error type and message."""
+
+    def __init__(self, status: int, kind: str, message: str):
+        super().__init__(message)
+        self.status = status
+        self.kind = kind
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -425,6 +446,15 @@ class _Handler(BaseHTTPRequestHandler):
         started = time.monotonic()
         self._begin()
         path = self.path.split("?", 1)[0]
+        try:
+            # A GET's body means nothing here, but the next request
+            # starts after it.
+            self._read_body()
+        except _Refused as refused:
+            status, payload, headers = self._unframed(refused)
+            self._record(path, status, started, method="GET")
+            self._send_json(status, payload, headers)
+            return
         if path == "/healthz":
             self._record(path, 200, started, method="GET")
             self._send_json(200, {
@@ -480,19 +510,16 @@ class _Handler(BaseHTTPRequestHandler):
             )
         return length
 
-    def _unframed(self, status: int, kind: str,
-                  message: str) -> Tuple[int, dict, dict]:
-        """The reply to a body the server will not read.  Its bytes stay
-        on the socket, so the connection closes after the reply rather
-        than take them for the next request."""
-        self.close_connection = True
-        return status, ErrorResponse(
-            error=kind, message=message, request_id=self._request_id,
-        ).to_json(), {"Connection": "close"}
+    def _read_body(self) -> bytes:
+        """The body its one ``Content-Length`` frames.
 
-    def _handle_post(self, path: str) -> Tuple[int, dict, dict]:
+        Raises:
+            _Refused: a ``Transfer-Encoding`` (501), a bad length (400),
+                or a body still short after :data:`BODY_READ_TIMEOUT_S`
+                (408).
+        """
         if "Transfer-Encoding" in self.headers:
-            return self._unframed(
+            raise _Refused(
                 501, "not_implemented",
                 "Transfer-Encoding is not supported; send the body with "
                 "a Content-Length",
@@ -500,11 +527,51 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = self._content_length()
         except WireFormatError as error:
-            return self._unframed(400, "wire_format", str(error))
-        route = _ROUTES.get(path)
+            raise _Refused(400, "wire_format", str(error)) from None
+        if not length:
+            return b""
+        # Only the body read is bounded: the socket has no timeout while
+        # a kept-alive connection waits for its next request.
+        deadline = time.monotonic() + BODY_READ_TIMEOUT_S
+        chunks = []
+        try:
+            while length:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise socket.timeout()
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(length)
+                if not chunk:
+                    break  # the client hung up; the short body fails later
+                chunks.append(chunk)
+                length -= len(chunk)
+        except socket.timeout:
+            raise _Refused(
+                408, "request_timeout",
+                f"request body incomplete after {BODY_READ_TIMEOUT_S:g} s",
+            ) from None
+        finally:
+            self.connection.settimeout(None)
+        return b"".join(chunks)
+
+    def _unframed(self, refused: _Refused) -> Tuple[int, dict, dict]:
+        """The reply to a body the server did not read in full.  What is
+        left of it stays on the socket, so the connection closes after
+        the reply rather than take it for the next request."""
+        self.close_connection = True
+        return refused.status, ErrorResponse(
+            error=refused.kind, message=str(refused),
+            request_id=self._request_id,
+        ).to_json(), {"Connection": "close"}
+
+    def _handle_post(self, path: str) -> Tuple[int, dict, dict]:
         try:
             # Read before routing: the next request starts after the body.
-            raw = self.rfile.read(length) if length else b""
+            raw = self._read_body()
+        except _Refused as refused:
+            return self._unframed(refused)
+        route = _ROUTES.get(path)
+        try:
             if route is None:
                 return 404, ErrorResponse(
                     error="not_found", message=f"no such endpoint: {path}",

@@ -82,6 +82,8 @@ from .unparse import condition_text, unparse
 
 _VALUE_MASK = "value"
 
+_MISSING = object()
+
 #: ``a op b`` ≡ ``b mirror(op) a`` for every comparison operator.
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
@@ -455,6 +457,59 @@ def canonicalize_condition(
     return _canon_condition(condition, _Context(schema, tables))
 
 
+def resolved_query(sql: str) -> Optional[Query]:
+    """``resolve_aliases(parse(sql))``, or ``None`` when ``sql`` does
+    not parse.
+
+    Inside a :func:`~repro.sql.parser.parse_scope` each string is
+    resolved once: exact match and canonicalization share the result.
+    """
+    memo = scope_memo()
+    if memo is not None:
+        entry = memo.resolved.get(sql, _MISSING)
+        if entry is not _MISSING:
+            return entry
+    query = try_parse(sql)
+    if query is not None:
+        query = resolve_aliases(query)
+    if memo is not None:
+        memo.resolved[sql] = query
+    return query
+
+
+def canonical_query(
+    sql: str, schema: Optional[DatabaseSchema] = None
+) -> Optional[Query]:
+    """``canonicalize(sql, schema)``, or ``None`` when ``sql`` does not
+    parse or a rewrite fails.
+
+    Canonicalization is pure AST surgery and must never take an
+    evaluation down with it, so any internal failure degrades to
+    ``None``.  Inside a :func:`~repro.sql.parser.parse_scope` each
+    (text, schema) pair is canonicalized once: dedup fingerprints and
+    equivalence verdicts share the result.
+    """
+    memo = scope_memo()
+    # Keyed on the schema's identity; the entry holds the schema, so the
+    # id cannot be reused by another object while the scope lives.
+    key = (sql, id(schema))
+    if memo is not None:
+        entry = memo.canonicals.get(key)
+        if entry is not None:
+            return entry[1]
+    try:
+        query = resolved_query(sql)
+        canon = (
+            _canon_query(query, schema, drop_aliases=True)
+            if query is not None else None
+        )
+    except Exception:  # defensive: never break eval on a rewrite bug
+        canon = None
+    if memo is not None:
+        memo.canonicals[key] = (schema, canon)
+    return canon
+
+
 def canonical_fingerprint(
     sql: Union[str, Query], schema: Optional[DatabaseSchema] = None
 ) -> Optional[str]:
@@ -465,28 +520,31 @@ def canonical_fingerprint(
     any internal failure also degrades to ``None`` (the caller falls
     back to treating the query as its own class).  Inside a
     :func:`~repro.sql.parser.parse_scope`, text inputs are memoised per
-    (text, schema) for the rest of the scope.
+    (text, schema) for the rest of the scope, and their canonical form
+    is :func:`canonical_query`'s.
     """
-    memo = scope_memo() if isinstance(sql, str) else None
+    if not isinstance(sql, str):
+        try:
+            return unparse(canonicalize(sql, schema))
+        except Exception:  # defensive: never break eval on a rewrite bug
+            return None
+    memo = scope_memo()
     if memo is None:
-        return _fingerprint(sql, schema)
-    # Keyed on the schema's identity; the entry holds the schema, so the
-    # id cannot be reused by another object while the scope lives.
+        return _render(canonical_query(sql, schema))
     key = (sql, id(schema))
     entry = memo.fingerprints.get(key)
     if entry is None:
-        entry = memo.fingerprints[key] = (schema, _fingerprint(sql, schema))
+        entry = memo.fingerprints[key] = (
+            schema, _render(canonical_query(sql, schema))
+        )
     return entry[1]
 
 
-def _fingerprint(
-    sql: Union[str, Query], schema: Optional[DatabaseSchema]
-) -> Optional[str]:
-    query = try_parse(sql) if isinstance(sql, str) else sql
-    if query is None:
+def _render(canon: Optional[Query]) -> Optional[str]:
+    if canon is None:
         return None
     try:
-        return unparse(canonicalize(query, schema))
+        return unparse(canon)
     except Exception:  # defensive: never break eval on a rewrite bug
         return None
 

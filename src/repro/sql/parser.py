@@ -539,13 +539,19 @@ class _Failure:
 
 class ScopeMemo:
     """One parse scope's results: ASTs (or failures) per SQL string,
-    canonical fingerprints per (SQL string, schema identity), and schema
-    linkings per (question, schema identity)."""
+    alias-resolved ASTs per SQL string, canonical ASTs and fingerprints
+    per (SQL string, schema identity), and schema linkings per
+    (question, schema identity).  ``None`` in ``resolved`` and
+    ``canonicals`` stands for text that does not parse (or, for a
+    canonical form, a rewrite that failed)."""
 
-    __slots__ = ("parses", "fingerprints", "linkings")
+    __slots__ = ("parses", "resolved", "canonicals", "fingerprints",
+                 "linkings")
 
     def __init__(self) -> None:
         self.parses: Dict[str, Union[Query, _Failure]] = {}
+        self.resolved: Dict[str, Optional[Query]] = {}
+        self.canonicals: Dict[Tuple[str, int], Tuple[object, Optional[Query]]] = {}
         self.fingerprints: Dict[Tuple[str, int], Tuple[object, Optional[str]]] = {}
         self.linkings: Dict[Tuple[str, int], Tuple[object, object]] = {}
 
@@ -566,7 +572,9 @@ def parse_scope() -> Iterator[None]:
     failed to parse raises a fresh, equal :class:`SQLSyntaxError` on each
     later call.  :func:`~repro.sql.canonical.canonical_fingerprint` and
     :meth:`~repro.schema.linker.SchemaLinker.link` keep their results in
-    the same memo.  The memo is dropped when the outermost
+    the same memo, and so do the alias-resolved and canonical forms
+    that exact match, equivalence and dedup read
+    (:mod:`repro.sql.canonical`).  The memo is dropped when the outermost
     scope exits — a nested scope joins the enclosing one — so no result
     outlives the example or request that opened the scope.  Outside any
     scope nothing is memoised.
@@ -584,6 +592,21 @@ def parse_scope() -> Iterator[None]:
 def scope_memo() -> Optional[ScopeMemo]:
     """The open parse scope's memo on this thread, or ``None``."""
     return _scope.memo
+
+
+def seed_parse(sql: str, query: Optional[Query]) -> None:
+    """Inside a parse scope, let :func:`parse` return ``query`` for
+    ``sql`` without tokenizing it.
+
+    For a parse already in hand — a corpus example's gold AST — whose
+    text is ``unparse(query)`` or was parsed into ``query``, so that
+    ``parse(sql) == query`` holds exactly.  An entry already in the
+    scope is kept.  Outside a scope, or with no ``query``, nothing
+    happens.
+    """
+    memo = _scope.memo
+    if memo is not None and query is not None:
+        memo.parses.setdefault(sql, query)
 
 
 def parse(sql: str) -> Query:

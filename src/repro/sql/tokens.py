@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 from ..errors import SQLSyntaxError
 
@@ -44,9 +43,8 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (immutable).
 
     Attributes:
         type: lexical category.
@@ -85,63 +83,69 @@ _TOKEN_RE = re.compile(
 # it for string literals; we follow Spider and treat both quote styles as
 # string literals.  Backticks/brackets are always identifiers.
 
+# Token constructors and types, bound once for tokenize's loop.
+_new = tuple.__new__
+_KEYWORD = TokenType.KEYWORD
+_IDENT = TokenType.IDENT
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_OP = TokenType.OP
+_PUNCT = TokenType.PUNCT
+
 
 def tokenize(sql: str) -> List[Token]:
     """Tokenize SQL text into a list ending with an EOF token.
+
+    One pass over the regex matches.  Each token is made by
+    ``tuple.__new__`` from its field tuple, skipping a Python-level
+    constructor call per token.
 
     Raises:
         SQLSyntaxError: on any character sequence outside the grammar.
     """
     tokens: List[Token] = []
+    append = tokens.append
     pos = 0
-    length = len(sql)
-    while pos < length:
-        match = _TOKEN_RE.match(sql, pos)
-        if match is None:
-            raise SQLSyntaxError(
-                f"unexpected character {sql[pos]!r} at offset {pos}",
-                sql=sql,
-                position=pos,
-            )
-        start = pos
+    for match in _TOKEN_RE.finditer(sql):
+        start = match.start()
+        if start != pos:
+            break  # sql[pos] starts no token
         pos = match.end()
         kind = match.lastgroup
-        text = match.group()
-        if kind in ("ws", "comment"):
+        if kind == "ws" or kind == "comment":
             continue
-        if kind == "string":
-            quote = text[0]
-            body = text[1:-1].replace(quote * 2, quote)
-            tokens.append(Token(TokenType.STRING, body, start))
-        elif kind == "number":
-            tokens.append(Token(TokenType.NUMBER, text, start))
-        elif kind == "word":
+        text = match.group()
+        if kind == "word":
             upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start))
+                append(_new(Token, (_KEYWORD, upper, start)))
             else:
-                tokens.append(Token(TokenType.IDENT, text, start))
-        elif kind == "quoted_ident":
-            tokens.append(Token(TokenType.IDENT, text[1:-1], start))
-        elif kind == "op":
-            canonical = "!=" if text == "<>" else text
-            tokens.append(Token(TokenType.OP, canonical, start))
+                append(_new(Token, (_IDENT, text, start)))
         elif kind == "punct":
+            append(_new(Token, (_PUNCT, text, start)))
+        elif kind == "op":
+            # '*' is matched by the op group; tag it as punctuation so the
+            # parser can treat SELECT * and COUNT(*) uniformly.
             if text == "*":
-                tokens.append(Token(TokenType.PUNCT, "*", start))
+                append(_new(Token, (_PUNCT, text, start)))
             else:
-                tokens.append(Token(TokenType.PUNCT, text, start))
-        else:  # pragma: no cover - regex groups are exhaustive
-            raise SQLSyntaxError(f"unhandled token kind {kind}", sql=sql)
-    # '*' is matched by the op group; re-tag it as punctuation so the parser
-    # can treat SELECT * and COUNT(*) uniformly.
-    tokens = [
-        Token(TokenType.PUNCT, "*", t.position)
-        if t.type is TokenType.OP and t.value == "*"
-        else t
-        for t in tokens
-    ]
-    tokens.append(Token(TokenType.EOF, "", length))
+                append(_new(Token, (_OP, "!=" if text == "<>" else text, start)))
+        elif kind == "number":
+            append(_new(Token, (_NUMBER, text, start)))
+        elif kind == "string":
+            quote = text[0]
+            body = text[1:-1].replace(quote * 2, quote)
+            append(_new(Token, (_STRING, body, start)))
+        else:  # quoted_ident
+            append(_new(Token, (_IDENT, text[1:-1], start)))
+    length = len(sql)
+    if pos != length:
+        raise SQLSyntaxError(
+            f"unexpected character {sql[pos]!r} at offset {pos}",
+            sql=sql,
+            position=pos,
+        )
+    append(_new(Token, (TokenType.EOF, "", length)))
     return tokens
 
 

@@ -4,8 +4,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache.keys import canonical_bytes, digest_texts, stable_digest
+from repro.cache.keys import (
+    DigestPrefix,
+    canonical_bytes,
+    digest_texts,
+    stable_digest,
+)
 
 
 class TestStableDigest:
@@ -70,3 +77,34 @@ class TestDigestTexts:
         assert digest_texts(["a", "b"]) == digest_texts(["a", "b"])
         assert digest_texts(["a", "b"]) != digest_texts(["b", "a"])
         assert digest_texts(["ab"]) != digest_texts(["a", "b"])
+
+
+#: Key parts the prefix property draws from: every encodable scalar
+#: kind, plus lists of them.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), st.binary(),
+    st.floats(allow_nan=False),
+)
+_PARTS = st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+                  max_size=6)
+
+
+class TestDigestPrefix:
+    @given(head=_PARTS, items=_PARTS, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_whole_digest(self, head, items, data):
+        cut = data.draw(st.integers(0, len(items)))
+        prefix = DigestPrefix(*head)
+        assert prefix.extend(*items[:cut]).digest(*items[cut:]) == (
+            stable_digest(*head, list(items))
+        )
+        # Extending or finishing a prefix leaves it as it was.
+        assert prefix.digest(*items) == stable_digest(*head, list(items))
+
+    def test_extensions_are_independent(self):
+        base = DigestPrefix(1, "generate").extend("client")
+        one, two = base.extend("prompt one"), base.extend("prompt two")
+        assert one.digest("sc-0") == stable_digest(
+            1, "generate", ["client", "prompt one", "sc-0"])
+        assert two.digest("sc-0") == stable_digest(
+            1, "generate", ["client", "prompt two", "sc-0"])

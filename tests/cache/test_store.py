@@ -64,6 +64,66 @@ class TestMemoryTier:
         assert cache.hit_rate("never-used") == 0.0
 
 
+#: One key per stage shape the evaluation pipeline uses, with the hex
+#: digest :meth:`ArtifactCache.key` gave for it before keys were
+#: prefix-hashed.  On-disk caches and run journals are keyed by these.
+_LLM = "9f" * 32
+_POOL = "3c" * 32
+_PROMPT = (
+    "/* Given the following database schema: */\nCREATE TABLE singer (\n"
+    "  singer_id int,\n  name text\n)\n/* Answer the following: How many "
+    "singers are there? */\nSELECT"
+)
+_SQL = "SELECT count(*) FROM singer WHERE age > 30"
+#: stage → (fixed leading parts, remaining parts, golden digest).
+GOLDEN_KEYS = {
+    "generate": ((_LLM, _PROMPT), ("sc-3",),
+                 "0c8292a110284745e7bb1237b172626f432e3c5350eea8ef2332bc024bfca1b4"),
+    "preliminary": ((_LLM,), (_PROMPT,),
+                    "2fcf609606bea9db59eaf61b678d76f27679087e6ac330039374d97e102f33ed"),
+    "select": (("dail_s:" + "a1" * 16,),
+               ("How many singers are there?", "concert_singer", 5, _SQL),
+               "4062790a0ad3752019b44240089abbcb666fbe9e761a4808333669272086d2a8"),
+    "analyze": (("3", _POOL), (_SQL, "plain", "sqlite"),
+                "46c854cc07afef82cb28795b99da415b5863a7262f4f16b3b4e247e2219f4a4d"),
+    "execute": ((_POOL,), (_SQL,),
+                "c6e2244aeeb919fa3224884f172dc6558ffc794b5f501b70a8fa270e0ea59c17"),
+    "gold": ((_POOL,), (_SQL,),
+             "f919eded61eec256d7ed5843fde213761b8c89bbd8e435f8b1cb5d64cf2ad209"),
+}
+
+
+class TestKeyPrefixes:
+    @pytest.mark.parametrize("stage", sorted(GOLDEN_KEYS))
+    def test_golden_digest_whole_and_prefixed(self, stage):
+        fixed, rest, golden = GOLDEN_KEYS[stage]
+        cache = ArtifactCache()
+        assert cache.key(stage, fixed + rest) == golden
+        assert cache.key(stage, rest, cache.prefix(stage, *fixed)) == golden
+        # A prefix extended by per-example text (the generate stage's
+        # prompt) keys the same as the prefix of all of it.
+        first, *others = fixed
+        extended = cache.prefix(stage, first).extend(*others)
+        assert cache.key(stage, rest, extended) == golden
+
+    def test_prefix_is_kept_per_stage_and_parts(self):
+        cache = ArtifactCache()
+        assert cache.prefix("execute", _POOL) is cache.prefix("execute", _POOL)
+        assert cache.prefix("gold", _POOL) is not cache.prefix("execute", _POOL)
+
+    def test_prefixed_lookup_finds_a_whole_key_disk_entry(self, tmp_path):
+        fixed, rest, _ = GOLDEN_KEYS["execute"]
+        writer = ArtifactCache(disk_dir=tmp_path)
+        writer.get_or_compute("execute", fixed + rest, lambda: {"ok": True})
+        reader = ArtifactCache(disk_dir=tmp_path)
+        value = reader.get_or_compute(
+            "execute", rest, lambda: pytest.fail("recomputed"),
+            prefix=reader.prefix("execute", *fixed),
+        )
+        assert value == {"ok": True}
+        assert reader.stats()["execute"]["disk_hits"] == 1
+
+
 class TestTierMetrics:
     @staticmethod
     def events(registry):

@@ -1,11 +1,15 @@
 """SpiderDataset model and I/O tests."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.dataset.generator.corpus import build_corpus, spider_realistic
 from repro.dataset.spider import Example, SpiderDataset, validate_dataset
 from repro.errors import DatasetError
+from repro.experiments.context import FULL_CONFIG
+from repro.sql.parser import parse
 
 
 class TestExample:
@@ -147,3 +151,46 @@ class TestStratifiedSampling:
     def test_oversample_rejected(self, corpus):
         with pytest.raises(DatasetError):
             corpus.dev.sample_stratified(10_000)
+
+
+class TestGoldAst:
+    """An example keeps its gold AST exactly when it is the parse of
+    its gold SQL."""
+
+    def test_parse_in_post_init_is_kept(self):
+        example = Example(db_id="d", question="q?", query="SELECT a FROM t")
+        assert example.gold_ast == parse("SELECT a FROM t")
+
+    def test_nothing_kept_without_a_parse(self):
+        assert Example(db_id="d", question="q?",
+                       query="garbage ¤").gold_ast is None
+        given_hardness = Example(db_id="d", question="q?",
+                                 query="SELECT a FROM t", hardness="easy")
+        assert given_hardness.gold_ast is None
+
+    def test_reassigned_query_drops_it(self):
+        example = Example(db_id="d", question="q?", query="SELECT a FROM t")
+        example.query = "SELECT b FROM t"
+        assert example.gold_ast is None
+
+    def test_not_a_field(self):
+        example = Example(db_id="d", question="q?", query="SELECT a FROM t")
+        assert "_gold" not in example.to_json()
+        assert example == Example(db_id="d", question="q?",
+                                  query="SELECT a FROM t", hardness="easy")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corpus_dev_asts_are_the_parse_of_their_sql(self, seed):
+        corpus = build_corpus(dataclasses.replace(FULL_CONFIG, seed=seed))
+        try:
+            for example in corpus.dev:
+                assert example.gold_ast is not None
+                assert parse(example.query) == example.gold_ast, (
+                    example.example_id)
+            realistic = spider_realistic(corpus.dev)
+            assert [e.gold_ast for e in realistic] == [
+                e.gold_ast for e in corpus.dev]
+            # The train pool is only read as demonstrations.
+            assert all(e.gold_ast is None for e in corpus.train)
+        finally:
+            corpus.close()

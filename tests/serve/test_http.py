@@ -17,6 +17,7 @@ import pytest
 from repro.eval.harness import BenchmarkRunner
 from repro.obs.metrics import MetricsRegistry, parse_prometheus
 from repro.serve import SqlServer, SqlService
+from repro.serve import http as http_module
 from repro.serve.http import MAX_BODY_BYTES, _Handler
 from repro.serve.ratelimit import RateLimiter
 from repro.resilience.breaker import CircuitBreaker
@@ -311,6 +312,18 @@ RAW_CASES = [
      lint_request(b"Transfer-Encoding: chunked",
                   body=b"%x\r\n" % len(LINT_BODY) + LINT_BODY + b"\r\n0\r\n\r\n"),
      501, "not_implemented"),
+    # A GET's body is framed as a POST's is.
+    ("get-chunked-transfer-encoding",
+     b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+     501, "not_implemented"),
+    ("get-negative-content-length",
+     b"GET /healthz HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400, "wire_format"),
+    ("get-conflicting-content-lengths",
+     b"GET /metrics HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2"
+     b"\r\n\r\nab", 400, "wire_format"),
+    ("get-oversized-content-length",
+     b"GET /healthz HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+     % (MAX_BODY_BYTES + 1), 400, "wire_format"),
 ]
 
 
@@ -356,6 +369,52 @@ class TestRawRequests:
             LENGTH, b"Connection: close",
         ))) == 200
 
+
+    def test_get_body_is_read_and_discarded(self, server):
+        """A GET's body is never taken for the next request: a body that
+        reads as a request to a missing path gets no 404."""
+        smuggled = b"GET /nope HTTP/1.1\r\n\r\n"
+        response = raw_exchange(
+            server.address,
+            b"GET /healthz HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(smuggled) + smuggled
+            + b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        statuses = [status_of(b"HTTP/1.1 " + part)
+                    for part in response.split(b"HTTP/1.1 ")[1:]]
+        assert statuses == [200, 200], response[:400]
+
+    def test_short_body_gets_408_within_the_bound(self, server, monkeypatch):
+        """A body shorter than its Content-Length no longer holds the
+        handler until the client hangs up."""
+        monkeypatch.setattr(http_module, "BODY_READ_TIMEOUT_S", 0.5)
+        started = time.monotonic()
+        response = raw_exchange(server.address, lint_request(
+            b"Content-Length: 100", body=b'{"db_id"',
+        ), timeout=5.0)
+        elapsed = time.monotonic() - started
+        assert status_of(response) == 408, response[:200]
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["error"] == "request_timeout"
+        assert 0.5 <= elapsed < 3.0
+
+    def test_idle_kept_alive_connection_has_no_timeout(self, server,
+                                                       monkeypatch):
+        """Only the body read is bounded: a connection idle between
+        requests for longer than the bound is still served."""
+        monkeypatch.setattr(http_module, "BODY_READ_TIMEOUT_S", 0.2)
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            for pause in (0.0, 0.6):
+                time.sleep(pause)
+                connection.request("POST", "/v1/lint", body=LINT_BODY)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+        finally:
+            connection.close()
 
     def test_unknown_post_path_reads_its_body(self, server):
         """A 404 POST consumes its body, so the kept-alive connection

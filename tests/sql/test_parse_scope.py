@@ -154,19 +154,36 @@ class TestCanonicalFingerprint:
 class TestLifetime:
     """No parse result outlives the example or request that made it."""
 
-    def test_one_scope_per_example(self, corpus, tokenized):
+    def test_one_scope_per_example(self, corpus, tokenized, monkeypatch):
+        # The scopes are observed as they open: with the gold AST seeded,
+        # an example whose answer is its gold SQL tokenizes nothing.
+        opened = []
+        init = parser.ScopeMemo.__init__
+
+        def spy(memo):
+            init(memo)
+            opened.append(memo)
+
+        monkeypatch.setattr(parser.ScopeMemo, "__init__", spy)
         runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(),
                                  seed=3)
         plan = runner.prepare(RunConfig(model="gpt-4"))
-        runner.pipeline.run(corpus.dev.examples[0], plan)
-        first = tokenized.memos[0]
-        assert first is not None
+        first_example, second_example = corpus.dev.examples[:2]
+        runner.pipeline.run(first_example, plan)
+        assert len(opened) == 1
+        first = opened[0]
+        assert first.parses[first_example.query] is first_example.gold_ast
         assert all(memo is first for memo in tokenized.memos)
         assert len(tokenized) == len(set(tokenized))
         assert scope_memo() is None
-        runner.pipeline.run(corpus.dev.examples[1], plan)
-        assert tokenized.memos[-1] is not None
-        assert tokenized.memos[-1] is not first
+        before = len(tokenized)
+        runner.pipeline.run(second_example, plan)
+        assert len(opened) == 2
+        assert opened[1] is not first
+        assert opened[1].parses[second_example.query] is (
+            second_example.gold_ast
+        )
+        assert all(memo is opened[1] for memo in tokenized.memos[before:])
 
     def test_one_scope_per_request(self, corpus, tokenized):
         runner = BenchmarkRunner(corpus.dev, corpus.train, corpus.pool(),
