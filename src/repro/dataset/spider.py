@@ -95,8 +95,11 @@ class Example:
 
     @classmethod
     def from_json(cls, entry: dict) -> "Example":
+        """An example from its JSON entry, keeping its gold AST: the
+        query is parsed once, by ``__post_init__`` when the entry holds
+        no hardness and here when it does."""
         try:
-            return cls(
+            example = cls(
                 db_id=entry["db_id"],
                 question=entry["question"],
                 query=entry["query"],
@@ -105,6 +108,9 @@ class Example:
             )
         except KeyError as exc:
             raise DatasetError(f"missing key in example entry: {exc}") from exc
+        if entry.get("hardness"):
+            example.keep_gold_ast(try_parse(example.query))
+        return example
 
 
 class SpiderDataset:

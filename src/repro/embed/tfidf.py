@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class TfidfEmbedder:
         self._idf: Dict[str, float] = {}
         self._index: Dict[str, int] = {}
         self._default_idf: float = 1.0
+        #: :meth:`_idf_table`, built on first use after a fit.
+        self._table: Optional[np.ndarray] = None
         self._fitted = False
 
     def fit(self, texts: Sequence[str]) -> "TfidfEmbedder":
@@ -79,6 +81,7 @@ class TfidfEmbedder:
         to_index[order] = np.arange(len(order))
         if idf:
             self._default_idf = sorted(idf)[len(idf) // 2]
+        self._table = None
         self._fitted = True
 
         idf_by_id = np.array(idf)
@@ -102,15 +105,16 @@ class TfidfEmbedder:
         index's first appearance.
 
         A feature weighs ``(1 + log(count)) * idf``, the log taken in
-        Python.  An unknown feature hashes past the vocabulary with the
-        default IDF, and features whose hashes collide add up in order of
-        appearance.  The norm's sum is taken in Python in entry order.
+        Python, its index and IDF from one vocabulary lookup.  An unknown
+        feature hashes past the vocabulary with the default IDF, and
+        features whose hashes collide add up in order of appearance.  The
+        norm's sum is taken in Python in entry order.
         """
         counts = Counter(_features(text))
-        weights = np.array([1 + math.log(count) for count in counts.values()])
-        weights *= [self._idf.get(feat, self._default_idf) for feat in counts]
         found = [self._index.get(feat, -1) for feat in counts]
         indices = np.array(found, np.intp)
+        weights = np.array([1 + math.log(count) for count in counts.values()])
+        weights *= self._idf_table()[indices]
         if -1 in found:
             vector: Vector = {}
             base = len(self._index)
@@ -124,6 +128,14 @@ class TfidfEmbedder:
         if norm > 0:
             weights = weights / norm
         return indices, weights
+
+    def _idf_table(self) -> np.ndarray:
+        """Each vocabulary index's IDF, then the default IDF (at -1)."""
+        if self._table is None:
+            table = np.full(len(self._index) + 1, self._default_idf)
+            table[list(self._index.values())] = [self._idf[f] for f in self._index]
+            self._table = table
+        return self._table
 
     def fit_transform(self, texts: Sequence[str]) -> List[Vector]:
         return [
@@ -165,28 +177,20 @@ class TfidfIndex:
     as read-only numpy arrays, so one target is scored against the whole
     pool in a few array operations.
 
-    Each nonzero of the pool is stored twice.  Row-major (CSR-style),
-    ``features``/``weights`` hold every candidate's nonzeros in that
-    vector's own feature order, candidate ``i`` at ``row_starts[i]`` for
-    ``lengths[i]`` entries.  Feature-major (an inverted index),
-    ``posting_rows``/``posting_weights`` hold them feature by feature, the
-    entries of vocabulary feature ``f`` at ``ptr[f]:ptr[f + 1]``, naming
-    candidates by pool index.  No per-candidate dicts are kept.
+    The pool's nonzeros are stored once, row-major (CSR-style):
+    ``features``/``weights`` hold candidate ``i``'s nonzeros in its own
+    feature order at ``row_starts[i]`` for ``lengths[i]`` entries.
 
-    :meth:`posting_scores` scores every candidate in one pass over the
-    target's postings.  Every weight is positive, so only shared features
-    change a sum, and ``np.bincount`` adds its weights in array order: a
-    posting-order score sums the products in the target's feature order.
-    :func:`cosine` sums over the shorter of its two vectors in that
-    vector's order, so the posting-order score *is* the cosine for every
-    candidate at least as long as the target.  For a shorter candidate it
-    may differ from the cosine in the last bits, and
-    :meth:`PostingScores.exact` re-sums such candidates row by row, in the
-    candidate's own feature order.  Products are ``candidate weight *
-    target weight`` either way, which is exact to swap.  :meth:`scores`
-    re-sums every shorter candidate and so equals :func:`cosine` bit for
-    bit; the selection strategies re-sum only the few that can decide
-    their top k.
+    :meth:`posting_scores` gathers the target's weight at every nonzero
+    and sums each row with ``np.add.reduceat``, which adds pairwise, so a
+    score is within rounding of the cosine.  :meth:`PostingScores.exact`
+    re-sums candidates in :func:`cosine`'s order, over the shorter vector:
+    the candidate's feature order when it is shorter than the target, the
+    target's otherwise.  Every weight is positive, so only shared features
+    change a sum, and products are ``target weight * candidate weight``
+    either way, which is exact to swap.  :meth:`scores` re-sums every
+    candidate and so equals :func:`cosine` bit for bit; the selection
+    strategies re-sum only the few that can decide their top k.
     """
 
     def __init__(self, texts: Sequence[str]):
@@ -199,13 +203,8 @@ class TfidfIndex:
         self._row_starts = np.cumsum(self._lengths) - self._lengths
         self._features = np.concatenate([np.empty(0, np.intp), *(f for f, _ in rows)])
         self._weights = np.concatenate([np.empty(0, np.float64), *(w for _, w in rows)])
-        postings = np.argsort(self._features, kind="stable")
-        self._posting_rows = np.repeat(np.arange(len(rows)), self._lengths)[postings]
-        self._posting_weights = self._weights[postings]
-        self._ptr = np.zeros(self._vocab + 1, dtype=np.intp)
-        np.cumsum(
-            np.bincount(self._features, minlength=self._vocab), out=self._ptr[1:]
-        )
+        # reduceat would give an empty row the next row's first product.
+        self._filled = np.flatnonzero(self._lengths)
 
     def __len__(self) -> int:
         return len(self._lengths)
@@ -215,69 +214,63 @@ class TfidfIndex:
         return self.posting_scores(text).exact(np.arange(len(self)))
 
     def posting_scores(self, text: str) -> "PostingScores":
-        """``text`` scored against every candidate in posting order."""
+        """``text`` scored row-major against every candidate."""
         features, weights = self._embedder._embed(text)
         # Out-of-vocabulary features hash past the vocabulary and match no
         # candidate; they count only towards the target's norm and length.
         known = features < self._vocab
-        return PostingScores(self, features[known], weights[known], len(features))
-
-    def _posting_sums(self, features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Dot products of every candidate, summed in the order of
-        ``features``: their postings, one feature after another."""
-        starts = self._ptr[features]
-        counts = self._ptr[features + 1] - starts
-        postings = _ranges(starts, counts)
-        products = np.repeat(weights, counts)
-        products *= self._posting_weights[postings]
-        return np.bincount(
-            self._posting_rows[postings], products, minlength=len(self)
-        )
-
-    def _row_sums(
-        self, features: np.ndarray, weights: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Dot products of ``candidates``, each summed in the candidate's
-        own feature order."""
         dense = np.zeros(self._vocab)
-        dense[features] = weights
-        counts = self._lengths[candidates]
-        entries = _ranges(self._row_starts[candidates], counts)
-        products = dense[self._features[entries]]
-        products *= self._weights[entries]
-        return np.bincount(
-            np.repeat(np.arange(len(candidates)), counts), products,
-            minlength=len(candidates),
-        )
+        dense[features[known]] = weights[known]
+        products = dense[self._features]
+        products *= self._weights
+        values = np.zeros(len(self))
+        if len(self._filled):
+            values[self._filled] = np.add.reduceat(
+                products, self._row_starts[self._filled]
+            )
+        return PostingScores(values, self, features[known], weights[known],
+                             len(features))
 
 
 class PostingScores:
-    """One target's posting-order scores against a :class:`TfidfIndex`
-    pool (``values``, in pool order), and the exact cosine of any
-    candidates on demand."""
+    """One target's row-major scores against a :class:`TfidfIndex` pool
+    (``values``, in pool order), and the exact cosine of any candidates
+    on demand."""
 
     __slots__ = ("values", "_index", "_features", "_weights", "_length")
 
-    def __init__(self, index: TfidfIndex, features: np.ndarray,
-                 weights: np.ndarray, length: int):
-        self.values = index._posting_sums(features, weights)
+    def __init__(self, values: np.ndarray, index: TfidfIndex,
+                 features: np.ndarray, weights: np.ndarray, length: int):
+        self.values = values
         self._index = index
+        #: Known target features and weights, in order; unknown ones
+        #: count only in ``_length``.
         self._features = features
         self._weights = weights
         self._length = length
 
     def exact(self, candidates: np.ndarray) -> np.ndarray:
         """:func:`cosine` of the target against each of ``candidates``
-        (pool indices), bit for bit: the posting-order score where it is
-        exact, and a row-major re-sum for candidates shorter than the
-        target."""
-        scores = self.values[candidates]
-        shorter = self._index._lengths[candidates] < self._length
-        if shorter.any():
-            scores[shorter] = self._index._row_sums(
-                self._features, self._weights, candidates[shorter]
-            )
-        return scores
+        (pool indices), bit for bit: each candidate's products are laid
+        out down one column in :func:`cosine`'s order and added left to
+        right by ``np.add.accumulate``."""
+        index = self._index
+        counts = index._lengths[candidates]
+        starts = index._row_starts[candidates]
+        entries = _ranges(starts, counts)
+        # A feature's place in the target; one the target lacks goes
+        # after the last (its product is 0, so its place is immaterial).
+        place = np.full(index._vocab, len(self._features))
+        place[self._features] = np.arange(len(self._features))
+        at = place[index._features[entries]]
+        products = np.append(self._weights, 0.0)[at] * index._weights[entries]
+        # The step of each product in its sum: its offset in the row for
+        # a candidate shorter than the target, its place otherwise.
+        step = np.where(np.repeat(counts < self._length, counts),
+                        entries - np.repeat(starts, counts), at)
+        columns = np.zeros((self._length + 1, len(candidates)))
+        columns[step, np.repeat(np.arange(len(candidates)), counts)] = products
+        return np.add.accumulate(columns)[-1]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ engine).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cache.store import ArtifactCache, build_cache
@@ -120,6 +120,14 @@ class RunPlan:
     llm: object
     strategy: Optional[SelectionStrategy]
     n_samples: int = 1
+    #: Builds DAIL_S's preliminary prompt: the target representation,
+    #: ``FI_O`` organization, zero-shot, no token budget.
+    preliminary: PromptBuilder = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.preliminary = PromptBuilder(
+            self.builder.representation, get_organization("FI_O")
+        )
 
     @classmethod
     def of(

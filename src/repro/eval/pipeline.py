@@ -78,9 +78,8 @@ from ..db.execution import results_match
 from ..db.sqlite_backend import DatabasePool
 from ..llm.extract import extract_sql
 from ..llm.interface import client_fingerprint
-from ..prompt.builder import Prompt, PromptBuilder
-from ..prompt.organization import ExampleBlock, get_organization
-from ..prompt.representation import RepresentationOptions, get_representation
+from ..prompt.builder import Prompt
+from ..prompt.organization import ExampleBlock
 from ..repair.feedback import MAX_FEEDBACK_ROUNDS
 from ..repair.taxonomy import classify_execution_error
 from ..selection.strategies import DailSelection
@@ -375,22 +374,13 @@ class EvalPipeline:
     ) -> str:
         """The ``preliminary`` artifact: DAIL_S's zero-shot predicted SQL.
 
-        The preliminary prompt (target representation, ``FI_O``
-        organization, zero-shot) is always rebuilt — it is cheap and its
-        *text* is the cache key, so two configs share the artifact
-        exactly when their preliminary prompts and model agree.
+        The preliminary prompt (``plan.preliminary``: target
+        representation, ``FI_O`` organization, zero-shot) is always
+        rebuilt — it is cheap and its *text* is the cache key, so two
+        configs share the artifact exactly when their preliminary
+        prompts and model agree.
         """
-        config = plan.config
-        representation = get_representation(
-            config.representation,
-            RepresentationOptions(
-                foreign_keys=config.foreign_keys,
-                rule_implication=config.rule_implication,
-            ),
-        )
-        builder = PromptBuilder(representation, get_organization("FI_O"))
-        schema = self.dataset.schema(db_id)
-        prompt = builder.build(schema, question)
+        prompt = plan.preliminary.build(self.dataset.schema(db_id), question)
 
         def compute() -> str:
             result = plan.llm.generate(prompt, sample_tag="preliminary")

@@ -24,13 +24,12 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..dataset.spider import Example
 from ..prompt.builder import Prompt
 from ..prompt.organization import ExampleBlock
-from ..schema.linker import SchemaLinker
-from ..schema.model import DatabaseSchema
+from ..repair.feedback import FEEDBACK_MARKER
 from ..sql.parser import try_parse
 from ..sql.skeleton import skeleton_similarity
 from ..tokenizer.counter import count_tokens
@@ -83,14 +82,12 @@ class SimulatedLLM:
         #: ``(registry, series)`` — rebound when the engine attaches
         #: another run's registry.
         self._series: Optional[tuple] = None
-        #: One linker per distinct schema: two schemas may share a
-        #: ``db_id`` (a pruned or evolved copy) and link differently.
-        self._linkers: Dict[DatabaseSchema, SchemaLinker] = {}
-        #: Per-thread one-entry memo of the outcome model: the last
-        #: ``(prompt, probability)`` this thread scored.  It holds the
-        #: prompt itself, so the identity it is keyed on cannot be
-        #: reused by another prompt while the entry lives.
+        #: Per-thread one-entry memos: the last ``(prompt, probability)``
+        #: this thread scored, and the facts of the last gold question
+        #: (:meth:`_question_facts`).  An entry holds the objects its
+        #: identity is keyed on, so no other object can take their ids.
         self._outcome = threading.local()
+        self._question = threading.local()
         self._fingerprint: Optional[str] = None
 
     @property
@@ -172,13 +169,25 @@ class SimulatedLLM:
         # prompt-style preferences matter less.
         return 0.4 if self.sft_state is not None else 1.0
 
-    def _foreign_key_term(self, prompt: Prompt, gold: Example) -> float:
+    def _question_facts(self, db_id: str, gold: Example) -> Tuple[float, bool]:
+        """The question's difficulty draw and whether its gold query
+        joins tables: facts of the question alone, derived once per
+        example, whose model calls all run on one thread."""
+        memo = getattr(self._question, "entry", None)
+        if (memo is not None and memo[0] is gold and memo[1] is gold.query
+                and memo[2] == db_id):
+            return memo[3]
         query = try_parse(gold.query)
-        needs_join = False
-        if query is not None:
-            for _, core in query.flatten_set_ops():
-                if core.from_clause is not None and len(core.from_clause.sources()) > 1:
-                    needs_join = True
+        needs_join = query is not None and any(
+            core.from_clause is not None and len(core.from_clause.sources()) > 1
+            for _, core in query.flatten_set_ops()
+        )
+        facts = (stable_unit("difficulty", db_id, gold.query), needs_join)
+        self._question.entry = (gold, gold.query, db_id, facts)
+        return facts
+
+    def _foreign_key_term(self, prompt: Prompt, gold: Example) -> float:
+        _, needs_join = self._question_facts(prompt.db_id, gold)
         if prompt.includes_foreign_keys:
             return 0.055 if needs_join else -0.005
         return -0.035 if needs_join else 0.0
@@ -194,10 +203,7 @@ class SimulatedLLM:
         return -0.02 * self.profile.chattiness
 
     def _linking_term(self, prompt: Prompt) -> float:
-        linker = self._linkers.get(prompt.schema)
-        if linker is None:
-            linker = self._linkers[prompt.schema] = SchemaLinker(prompt.schema)
-        coverage = linker.link(prompt.question).coverage()
+        coverage = self.oracle.linker(prompt.schema).link(prompt.question).coverage()
         # Centred at the typical Spider coverage; low-coverage questions
         # (Spider-Realistic) are harder for everyone, and hardest for
         # weakly aligned models.
@@ -214,8 +220,9 @@ class SimulatedLLM:
 
         relevance_sum = 0.0
         distractions = 0
+        question_words = frozenset(content_words(prompt.question))
         for block in prompt.examples:
-            relevance = self._example_relevance(block, prompt.question, gold)
+            relevance = self._example_relevance(block, question_words, gold)
             relevance_sum += relevance
             if relevance < _DISTRACTION_THRESHOLD:
                 distractions += 1
@@ -226,9 +233,11 @@ class SimulatedLLM:
         return term
 
     def _example_relevance(
-        self, block: ExampleBlock, question: str, gold: Example
+        self, block: ExampleBlock, question_words: FrozenSet[str], gold: Example
     ) -> float:
-        question_overlap = _token_overlap(block.question, question)
+        question_overlap = _overlap(
+            self.oracle.question_words(block.question), question_words
+        )
         structure = skeleton_similarity(block.sql, gold.query)
         return 0.25 * question_overlap + 0.75 * structure
 
@@ -256,8 +265,6 @@ class SimulatedLLM:
         works); more-aligned models exploit them better.  Keyed on the
         feedback sentinel line so ordinary prompts are unaffected.
         """
-        from ..repair.feedback import FEEDBACK_MARKER
-
         if FEEDBACK_MARKER not in prompt.text:
             return 0.0
         return 0.10 + 0.10 * self.profile.alignment
@@ -315,7 +322,7 @@ class SimulatedLLM:
         # item — hard questions are hard for every model, and a strategy
         # that raises p by 2 points wins ~2% of items, exactly the
         # common-random-numbers property the paper's dev-set grids have.
-        base_draw = stable_unit("difficulty", prompt.db_id, gold.query)
+        base_draw, _ = self._question_facts(prompt.db_id, gold)
         if sample_tag:
             # Repeated samples of the same prompt are highly correlated
             # (temperature sampling wiggles the answer, it does not redraw
@@ -384,9 +391,9 @@ class SimulatedLLM:
         )
 
 
-def _token_overlap(a: str, b: str) -> float:
-    """Jaccard overlap of content words — cheap question similarity."""
-    wa, wb = set(content_words(a)), set(content_words(b))
+def _overlap(wa: FrozenSet[str], wb: FrozenSet[str]) -> float:
+    """Jaccard overlap of two questions' content words — cheap question
+    similarity."""
     if not wa or not wb:
         return 0.0
     return len(wa & wb) / len(wa | wb)

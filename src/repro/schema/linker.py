@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..sql.parser import scope_memo
 from ..utils.text import STOPWORDS, snake_to_words
@@ -60,6 +60,11 @@ class SchemaLinking:
     question: str
     tokens: List[str]
     mentions: List[Mention] = field(default_factory=list)
+    #: :meth:`coverage`, once computed (a linking is complete when
+    #: :meth:`SchemaLinker.link` returns it).
+    _coverage: Optional[float] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def tables(self) -> Set[str]:
         """Distinct tables mentioned (directly or via a column)."""
@@ -79,17 +84,20 @@ class SchemaLinking:
 
     def coverage(self) -> float:
         """Fraction of non-stopword tokens covered by schema mentions."""
-        content = [
-            i for i, tok in enumerate(self.tokens)
-            if tok.lower() not in STOPWORDS and any(c.isalnum() for c in tok)
-        ]
-        if not content:
-            return 0.0
-        covered = set()
-        for mention in self.mentions:
-            if mention.kind in ("table", "column"):
-                covered.update(range(mention.start, mention.end))
-        return len([i for i in content if i in covered]) / len(content)
+        if self._coverage is None:
+            content = [
+                i for i, tok in enumerate(self.tokens)
+                if tok.lower() not in STOPWORDS and any(c.isalnum() for c in tok)
+            ]
+            covered = set()
+            for mention in self.mentions:
+                if mention.kind in ("table", "column"):
+                    covered.update(range(mention.start, mention.end))
+            self._coverage = (
+                len([i for i in content if i in covered]) / len(content)
+                if content else 0.0
+            )
+        return self._coverage
 
 
 class SchemaLinker:

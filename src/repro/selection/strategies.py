@@ -37,9 +37,10 @@ SELECTION_IDS = ("RD_S", "QTS_S", "MQS_S", "DAIL_S")
 #: Skeleton-similarity threshold for DAIL_S's structural pre-filter.
 DAIL_SKELETON_THRESHOLD = 0.35
 
-#: How far a posting-order score may sit below the k-th best and still be
-#: re-scored exactly.  It differs from the exact score by float rounding,
-#: about 1e-15 at most, so the bound is far wider than any gap it covers.
+#: How far a row-major score may sit below the k-th best and still be
+#: re-scored exactly.  It differs from the exact score only by the order
+#: its products (at most 1 each, a few hundred at most) are added in, well
+#: under 1e-12, so the bound is far wider than any gap it covers.
 _RESCORE_TOLERANCE = 1e-9
 
 #: Subtracted from a gate-failed DAIL_S key, placing it below every gated
@@ -289,7 +290,7 @@ class DailSelection(MaskedQuestionSimilaritySelection):
     ablation.
 
     :meth:`rank` orders the whole pool with exact scores.  :meth:`top_k`
-    gives its first ``k`` from posting-order question scores (see
+    gives its first ``k`` from row-major question scores (see
     :class:`~repro.embed.tfidf.TfidfIndex`): gate-failed keys are dropped
     below every gated one, the k-th best key is found with
     ``np.partition``, and only the candidates within rounding of it are

@@ -18,6 +18,12 @@ from ..cache.lru import LRUCache
 
 _PIECE_RE = re.compile(r"[A-Za-z]+|\d+|\s+|[^\sA-Za-z\d]")
 
+#: The pieces of :data:`_PIECE_RE` by class: word, digit run, symbol.  The
+#: classes are disjoint, so each finds the same runs on its own.
+_WORD_RE = re.compile(r"[A-Za-z]+")
+_DIGITS_RE = re.compile(r"\d+")
+_SYMBOL_RE = re.compile(r"[^\sA-Za-z\d]")
+
 #: Words frequent enough to be single tokens in GPT vocabularies.
 _COMMON = frozenset(
     """the of to and a in is it you that he was for on are with as i his they
@@ -46,26 +52,20 @@ def count_tokens(text: str) -> int:
 
     Deterministic, monotone in text length, and sensitive to the same
     things tiktoken is (long identifiers cost more than common words;
-    punctuation costs one each).
+    punctuation costs one each).  Each :func:`tokenize_pieces` piece is
+    priced by its class, one regex pass per class: a whitespace run
+    costs its newlines (spaces mostly merge into the following token), a
+    digit run one token per three digits, a symbol one, and a word one
+    if it is common or at most four letters long, else one per four.
     """
-    total = 0
-    for piece in tokenize_pieces(text):
-        if piece.isspace():
-            # Runs of spaces mostly merge into the following token; newlines
-            # count on their own.
-            total += piece.count("\n")
-            continue
-        if piece.isdigit():
-            total += max(1, (len(piece) + _DIGITS_PER_TOKEN - 1) // _DIGITS_PER_TOKEN)
-            continue
-        if piece.isalpha():
-            lower = piece.lower()
-            if lower in _COMMON or len(piece) <= _SUBWORD_LEN:
-                total += 1
-            else:
-                total += (len(piece) + _SUBWORD_LEN - 1) // _SUBWORD_LEN
-            continue
-        total += 1
+    total = text.count("\n") + len(_SYMBOL_RE.findall(text))
+    for run in _DIGITS_RE.findall(text):
+        total += (len(run) + _DIGITS_PER_TOKEN - 1) // _DIGITS_PER_TOKEN
+    for word in _WORD_RE.findall(text):
+        if len(word) <= _SUBWORD_LEN or word.lower() in _COMMON:
+            total += 1
+        else:
+            total += (len(word) + _SUBWORD_LEN - 1) // _SUBWORD_LEN
     return total
 
 

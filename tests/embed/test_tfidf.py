@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,3 +192,26 @@ class TestTransformDefinition:
         vector = embedder.transform(text)
         assert list(vector.items()) == list(_transform_loop(embedder, text).items())
         assert len(vector) < len(set(_features(text)))
+
+
+class TestIndexScores:
+    """``TfidfIndex`` row-major scores are within rounding of the cosine,
+    and ``exact`` equals it bit for bit, for any candidates in any order:
+    shorter and longer than the target, with unknown target features."""
+
+    @given(st.lists(st.text(alphabet="abcd efg?'", max_size=30), max_size=8),
+           st.text(alphabet="abcdxyz ?'", max_size=40),
+           st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=200)
+    def test_exact_equals_cosine(self, texts, target, rng):
+        index = TfidfIndex(texts)
+        embedder = TfidfEmbedder()
+        vectors = embedder.fit_transform(texts)
+        query = embedder.transform(target)
+        want = [cosine(query, vector) for vector in vectors]
+        scores = index.posting_scores(target)
+        assert all(abs(v - w) <= 1e-12 for v, w in zip(scores.values.tolist(), want))
+        assert index.scores(target).tolist() == want
+        picked = [rng.randrange(len(texts)) for _ in range(len(texts))]
+        assert scores.exact(np.array(picked, np.intp)).tolist() == \
+            [want[i] for i in picked]

@@ -12,6 +12,7 @@ import pytest
 from repro.cache import keys
 from repro.cache.store import ArtifactCache
 from repro.core.baselines import leaderboard_entries
+from repro.dataset.spider import SpiderDataset
 from repro.eval import pipeline as pipeline_module
 from repro.eval.harness import BenchmarkRunner, RunConfig
 from repro.sql import canonical, parser
@@ -56,6 +57,29 @@ def test_no_gold_sql_reaches_the_tokenizer(corpus, monkeypatch, name):
     tokenized = []
     spy(monkeypatch, parser, "tokenize", tokenized.append)
     for example in corpus.dev.examples:
+        del tokenized[:]
+        runner.pipeline.run(example, plan)
+        assert example.query not in tokenized, example.example_id
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_a_reloaded_split_keeps_its_gold_asts(corpus, tmp_path, monkeypatch,
+                                              name):
+    """A dev split saved to disk and loaded back keeps every gold AST,
+    so a run over it tokenizes no gold SQL either."""
+    corpus.dev.save(tmp_path)
+    dev = SpiderDataset.load(tmp_path, corpus.dev.name)
+    assert len(dev) == 48
+    assert [e.gold_ast for e in dev] == [e.gold_ast for e in corpus.dev]
+    config, n_samples, feedback_rounds = CONFIGS[name]()
+    runner = BenchmarkRunner(
+        dev, corpus.train, corpus.pool(), seed=3,
+        cache=ArtifactCache(), feedback_rounds=feedback_rounds,
+    )
+    plan = runner.prepare(config, n_samples=n_samples)
+    tokenized = []
+    spy(monkeypatch, parser, "tokenize", tokenized.append)
+    for example in dev:
         del tokenized[:]
         runner.pipeline.run(example, plan)
         assert example.query not in tokenized, example.example_id

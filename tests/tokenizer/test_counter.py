@@ -1,9 +1,23 @@
 """Token counter tests."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tokenizer.counter import TokenCounter, count_tokens, tokenize_pieces
+from repro.dataset.generator.corpus import build_corpus
+from repro.experiments.context import FULL_CONFIG
+from repro.prompt.builder import PromptBuilder
+from repro.prompt.organization import ORGANIZATION_IDS, get_organization
+from repro.prompt.representation import REPRESENTATION_IDS, get_representation
+from repro.selection.strategies import MaskedQuestionSimilaritySelection
+from repro.tokenizer.counter import (
+    _COMMON,
+    TokenCounter,
+    count_tokens,
+    tokenize_pieces,
+)
 
 
 class TestCounting:
@@ -68,3 +82,82 @@ class TestTokenCounterCache:
         for i in range(5):
             counter.count(f"text {i}")
         assert len(counter._cache) <= 2
+
+
+def reference_count_tokens(text):
+    """``count_tokens`` as it was written before it priced each piece
+    class in its own regex pass: one loop over every piece."""
+    total = 0
+    for piece in tokenize_pieces(text):
+        if piece.isspace():
+            total += piece.count("\n")
+            continue
+        if piece.isdigit():
+            total += max(1, (len(piece) + 2) // 3)
+            continue
+        if piece.isalpha():
+            lower = piece.lower()
+            if lower in _COMMON or len(piece) <= 4:
+                total += 1
+            else:
+                total += (len(piece) + 3) // 4
+            continue
+        total += 1
+    return total
+
+
+def corpus_texts(seed):
+    """Every question and gold SQL of the seed's full corpus, the zero-
+    shot prompt of every dev question under every representation, and a
+    five-shot prompt of it under every organization."""
+    corpus = build_corpus(dataclasses.replace(FULL_CONFIG, seed=seed))
+    try:
+        selection = MaskedQuestionSimilaritySelection(corpus.train)
+        selection.set_target_dataset(corpus.dev)
+        texts = [text for split in (corpus.train, corpus.dev)
+                 for example in split
+                 for text in (example.question, example.query)]
+        for example in corpus.dev:
+            schema = corpus.dev.schema(example.db_id)
+            blocks = selection.select(example.question, example.db_id, 5)
+            for rep_id in REPRESENTATION_IDS:
+                builder = PromptBuilder(get_representation(rep_id),
+                                        get_organization("FI_O"))
+                texts.append(builder.build(schema, example.question).text)
+            for org_id in ORGANIZATION_IDS:
+                builder = PromptBuilder(get_representation("CR_P"),
+                                        get_organization(org_id))
+                texts.append(
+                    builder.build(schema, example.question, blocks).text
+                )
+        return texts
+    finally:
+        corpus.close()
+
+
+class TestSameAsReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corpus_texts(self, seed):
+        for text in corpus_texts(seed):
+            assert count_tokens(text) == reference_count_tokens(text), text
+
+    @pytest.mark.parametrize("text", [
+        "", " ", "\n\n", " \n \t\n", "a", "abcd", "abcde", "Selection",
+        "1", "123", "1234", "٣٤٥", "x²", "café", "naïve résumé", "a\u00a0b",
+        "\u2028", "SELECT count(*) FROM t WHERE a >= 10;\n", "```sql\nx\n```",
+    ])
+    def test_edge_cases(self, text):
+        assert count_tokens(text) == reference_count_tokens(text)
+
+    @given(st.text(alphabet=st.sampled_from(
+        list("SELECTFROMWHEREselectfromtheinternational_az019 .,;()*+-\n\t")
+        + ["²", "é", "٣", "\u00a0", "\u2028"]
+    ), max_size=60))
+    @settings(max_examples=400, deadline=None)
+    def test_generated_text(self, text):
+        assert count_tokens(text) == reference_count_tokens(text)
+
+    @given(st.text(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text(self, text):
+        assert count_tokens(text) == reference_count_tokens(text)

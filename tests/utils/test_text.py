@@ -1,5 +1,7 @@
 """Text utility tests."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,19 @@ class TestNormalizeWhitespace:
 
     def test_empty(self):
         assert normalize_whitespace("   ") == ""
+
+    @given(st.text(alphabet=st.sampled_from(
+        list("ab \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0")
+        + ["\u1680", "\u2000", "\u2028", "\u2029", "\u200b", "\u3000", "\ufeff"]
+    ), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_regex_definition(self, text):
+        assert normalize_whitespace(text) == re.sub(r"\s+", " ", text).strip()
+
+    @given(st.text(max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_equals_the_regex_definition(self, text):
+        assert normalize_whitespace(text) == re.sub(r"\s+", " ", text).strip()
 
 
 class TestStripAccents:
