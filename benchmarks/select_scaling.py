@@ -16,7 +16,16 @@ canonical corpus here has 600.  This script builds the seeded corpus with
 Each figure is the median over ``--passes`` repetitions (select: over
 five rounds of the dev split in each).  It is a
 measurement, not a test or a gate: run it before and after a change to
-selection and compare the curves.
+selection and compare the curves.  CI runs it with ``--passes 1`` only
+to see it run to completion.
+
+Selection scores each class of candidates that share a masked question
+and a gold skeleton once (docs/architecture.md §5).  The generator's
+templates give these pools about 70 to 115 such classes whatever their
+size, so ``select ms/ex`` stays nearly flat from 600 to 6,000 here; on a
+pool without duplicate questions it would grow with the pool.  The
+set-up column still grows with the pool: it builds and masks every
+candidate.
 
     PYTHONPATH=src python benchmarks/select_scaling.py [--seed 0] [--passes 3]
 """

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..utils.arrays import ranges
 from ..utils.text import char_ngrams, word_tokenize
 
 Vector = Dict[int, float]
@@ -49,29 +50,43 @@ class TfidfEmbedder:
         self._fit_rows(texts)
         return self
 
-    def _fit_rows(self, texts: Sequence[str]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Fit on ``texts`` and return each text's vector as (vocabulary
-        indices, weights) arrays, equal to :meth:`transform` of the text
-        entry for entry and in its order, from one feature pass per text.
+    def _fit_rows(
+        self, texts: Sequence[str]
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """Fit on ``texts``; return one vector per distinct text, in order
+        of first appearance, as (vocabulary indices, weights) arrays equal
+        to :meth:`transform` of the text entry for entry and in its order,
+        and each text's row number among them.
 
-        Each text's features are counted once, numbered in order of first
-        appearance; vocabulary indices and weights follow once every text
-        is counted.  Logs and the norm's sum are taken in Python exactly
-        as :meth:`transform` takes them, so the weights are bit-identical.
+        Each distinct text's features are counted once, numbered in order
+        of first appearance; a feature's document frequency adds the
+        number of copies of every text holding it, so the IDF weights are
+        those of a fit that counts every text.  Vocabulary indices and
+        weights follow once every text is counted.  Logs and the norm's
+        sum are taken in Python exactly as :meth:`transform` takes them,
+        so the weights are bit-identical.
         """
+        row_of_text: Dict[str, int] = {}
+        row_of = np.fromiter(
+            (row_of_text.setdefault(text, len(row_of_text)) for text in texts),
+            np.intp, len(texts),
+        )
         ids: Dict[str, int] = {}
         rows: List[Tuple[np.ndarray, np.ndarray]] = []
-        for text in texts:
+        for text in row_of_text:
             counts = Counter(_features(text))
             rows.append((
                 np.array([ids.setdefault(f, len(ids)) for f in counts], np.intp),
                 np.fromiter(counts.values(), np.intp, len(counts)),
             ))
         n_docs = max(len(texts), 1)
+        copies = np.bincount(row_of, minlength=len(rows))
+        # Whole-number float sums, far below 2**53: exact.
         doc_freq = np.bincount(
             np.concatenate([np.empty(0, np.intp), *(row for row, _ in rows)]),
+            weights=np.repeat(copies, [len(row) for row, _ in rows]),
             minlength=len(ids),
-        )
+        ).astype(np.intp)
         features = list(ids)
         idf = [math.log((1 + n_docs) / (1 + df)) + 1.0 for df in doc_freq.tolist()]
         self._idf = dict(zip(features, idf))
@@ -93,7 +108,7 @@ class TfidfEmbedder:
             if norm > 0:
                 weights /= norm
             rows[position] = (to_index[fids], weights)
-        return rows
+        return rows, row_of
 
     def transform(self, text: str) -> Vector:
         """Embed one text. Unknown features hash onto extended indices."""
@@ -138,9 +153,10 @@ class TfidfEmbedder:
         return self._table
 
     def fit_transform(self, texts: Sequence[str]) -> List[Vector]:
+        rows, row_of = self._fit_rows(texts)
         return [
-            dict(zip(features.tolist(), weights.tolist()))
-            for features, weights in self._fit_rows(texts)
+            dict(zip(rows[row][0].tolist(), rows[row][1].tolist()))
+            for row in row_of.tolist()
         ]
 
     @property
@@ -173,29 +189,34 @@ def cosine(a: Vector, b: Vector) -> float:
 
 
 class TfidfIndex:
-    """An embedder fitted on a candidate pool, plus every candidate's vector
-    as read-only numpy arrays, so one target is scored against the whole
-    pool in a few array operations.
+    """An embedder fitted on a candidate pool, plus the vector of every
+    distinct candidate text as read-only numpy arrays, so one target is
+    scored against the whole pool in a few array operations.
 
-    The pool's nonzeros are stored once, row-major (CSR-style):
-    ``features``/``weights`` hold candidate ``i``'s nonzeros in its own
-    feature order at ``row_starts[i]`` for ``lengths[i]`` entries.
+    The IDF weights are fitted on every candidate text, copies included,
+    but each distinct text is stored once, as one *row*; ``row_of[i]`` is
+    candidate ``i``'s row, and rows are numbered in order of first
+    appearance.  A pool without duplicate texts has one row per
+    candidate.  The rows' nonzeros are stored row-major (CSR-style):
+    ``features``/``weights`` hold row ``r``'s nonzeros in its own feature
+    order at ``row_starts[r]`` for ``lengths[r]`` entries.
 
     :meth:`posting_scores` gathers the target's weight at every nonzero
     and sums each row with ``np.add.reduceat``, which adds pairwise, so a
-    score is within rounding of the cosine.  :meth:`PostingScores.exact`
-    re-sums candidates in :func:`cosine`'s order, over the shorter vector:
-    the candidate's feature order when it is shorter than the target, the
-    target's otherwise.  Every weight is positive, so only shared features
-    change a sum, and products are ``target weight * candidate weight``
-    either way, which is exact to swap.  :meth:`scores` re-sums every
-    candidate and so equals :func:`cosine` bit for bit; the selection
-    strategies re-sum only the few that can decide their top k.
+    row's score is within rounding of the cosine.
+    :meth:`PostingScores.exact` re-sums rows in :func:`cosine`'s order,
+    over the shorter vector: the row's feature order when it is shorter
+    than the target, the target's otherwise.  Every weight is positive,
+    so only shared features change a sum, and products are ``target
+    weight * row weight`` either way, which is exact to swap.
+    :meth:`scores` re-sums every row and gathers them per candidate, so
+    it equals :func:`cosine` bit for bit; the selection strategies
+    re-sum only the few rows that can decide their top k.
     """
 
     def __init__(self, texts: Sequence[str]):
         self._embedder = TfidfEmbedder()
-        rows = self._embedder._fit_rows(texts)
+        rows, self.row_of = self._embedder._fit_rows(texts)
         self._vocab = len(self._embedder._index)
         self._lengths = np.fromiter(
             (len(row) for row, _ in rows), np.intp, len(rows)
@@ -207,41 +228,50 @@ class TfidfIndex:
         self._filled = np.flatnonzero(self._lengths)
 
     def __len__(self) -> int:
+        return len(self.row_of)
+
+    @property
+    def n_rows(self) -> int:
+        """The number of distinct candidate texts."""
         return len(self._lengths)
 
     def scores(self, text: str) -> np.ndarray:
         """Cosine of ``text`` against every candidate, in pool order."""
-        return self.posting_scores(text).exact(np.arange(len(self)))
+        return self._target(text).exact(np.arange(self.n_rows))[self.row_of]
 
     def posting_scores(self, text: str) -> "PostingScores":
-        """``text`` scored row-major against every candidate."""
-        features, weights = self._embedder._embed(text)
-        # Out-of-vocabulary features hash past the vocabulary and match no
-        # candidate; they count only towards the target's norm and length.
-        known = features < self._vocab
+        """``text`` scored row-major against every row."""
+        target = self._target(text)
         dense = np.zeros(self._vocab)
-        dense[features[known]] = weights[known]
+        dense[target._features] = target._weights
         products = dense[self._features]
         products *= self._weights
-        values = np.zeros(len(self))
+        target.values = np.zeros(self.n_rows)
         if len(self._filled):
-            values[self._filled] = np.add.reduceat(
+            target.values[self._filled] = np.add.reduceat(
                 products, self._row_starts[self._filled]
             )
-        return PostingScores(values, self, features[known], weights[known],
-                             len(features))
+        return target
+
+    def _target(self, text: str) -> "PostingScores":
+        """``text`` embedded against this pool, with no row scored yet."""
+        features, weights = self._embedder._embed(text)
+        # Out-of-vocabulary features hash past the vocabulary and match no
+        # row; they count only towards the target's norm and length.
+        known = features < self._vocab
+        return PostingScores(self, features[known], weights[known], len(features))
 
 
 class PostingScores:
-    """One target's row-major scores against a :class:`TfidfIndex` pool
-    (``values``, in pool order), and the exact cosine of any candidates
-    on demand."""
+    """One target's row-major scores against the rows of a
+    :class:`TfidfIndex` (``values``, in row order), and the exact cosine
+    of any rows on demand."""
 
     __slots__ = ("values", "_index", "_features", "_weights", "_length")
 
-    def __init__(self, values: np.ndarray, index: TfidfIndex,
-                 features: np.ndarray, weights: np.ndarray, length: int):
-        self.values = values
+    def __init__(self, index: TfidfIndex, features: np.ndarray,
+                 weights: np.ndarray, length: int):
+        self.values: Optional[np.ndarray] = None
         self._index = index
         #: Known target features and weights, in order; unknown ones
         #: count only in ``_length``.
@@ -249,15 +279,15 @@ class PostingScores:
         self._weights = weights
         self._length = length
 
-    def exact(self, candidates: np.ndarray) -> np.ndarray:
-        """:func:`cosine` of the target against each of ``candidates``
-        (pool indices), bit for bit: each candidate's products are laid
-        out down one column in :func:`cosine`'s order and added left to
-        right by ``np.add.accumulate``."""
+    def exact(self, rows: np.ndarray) -> np.ndarray:
+        """:func:`cosine` of the target against each of ``rows`` (row
+        numbers), bit for bit: each row's products are laid out down one
+        column in :func:`cosine`'s order and added left to right by
+        ``np.add.accumulate``."""
         index = self._index
-        counts = index._lengths[candidates]
-        starts = index._row_starts[candidates]
-        entries = _ranges(starts, counts)
+        counts = index._lengths[rows]
+        starts = index._row_starts[rows]
+        entries = ranges(starts, counts)
         # A feature's place in the target; one the target lacks goes
         # after the last (its product is 0, so its place is immaterial).
         place = np.full(index._vocab, len(self._features))
@@ -265,19 +295,12 @@ class PostingScores:
         at = place[index._features[entries]]
         products = np.append(self._weights, 0.0)[at] * index._weights[entries]
         # The step of each product in its sum: its offset in the row for
-        # a candidate shorter than the target, its place otherwise.
+        # a row shorter than the target, its place otherwise.
         step = np.where(np.repeat(counts < self._length, counts),
                         entries - np.repeat(starts, counts), at)
-        columns = np.zeros((self._length + 1, len(candidates)))
-        columns[step, np.repeat(np.arange(len(candidates)), counts)] = products
+        columns = np.zeros((self._length + 1, len(rows)))
+        columns[step, np.repeat(np.arange(len(rows)), counts)] = products
         return np.add.accumulate(columns)[-1]
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``starts[i]:starts[i] + counts[i]`` for every ``i``, concatenated."""
-    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    out += np.arange(len(out))
-    return out
 
 
 def top_k(query: Vector, candidates: Sequence[Vector], k: int) -> List[int]:

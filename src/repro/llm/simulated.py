@@ -126,7 +126,9 @@ class SimulatedLLM:
 
     # -- outcome model ---------------------------------------------------------
 
-    def success_probability(self, prompt: Prompt) -> float:
+    def success_probability(
+        self, prompt: Prompt, gold: Optional[Example] = None
+    ) -> float:
         """P(correct SQL | prompt, model) — the heart of the simulation.
 
         Exposed publicly so tests and ablation benches can assert the
@@ -134,20 +136,20 @@ class SimulatedLLM:
         prompt), so it is computed once per prompt object and thread:
         the samples of a vote and the retries of a call share one
         prompt and reuse the value.  A built prompt is treated as
-        immutable.
+        immutable.  ``gold`` is the prompt's gold example when the
+        caller has already looked it up in the oracle (as
+        :meth:`generate` has); otherwise it is looked up here.
         """
         memo = getattr(self._outcome, "entry", None)
         if memo is not None and memo[0] is prompt:
             return memo[1]
-        p = self._success_probability(prompt)
+        if gold is None:
+            gold = self.oracle.lookup(prompt.db_id, prompt.question)
+        p = _P_FLOOR if gold is None else self._success_probability(prompt, gold)
         self._outcome.entry = (prompt, p)
         return p
 
-    def _success_probability(self, prompt: Prompt) -> float:
-        gold = self.oracle.lookup(prompt.db_id, prompt.question)
-        if gold is None:
-            return _P_FLOOR
-
+    def _success_probability(self, prompt: Prompt, gold: Example) -> float:
         p = self._base_competence(prompt)
         p += self.profile.affinity(prompt.representation_id) * self._affinity_scale()
         p += _HARDNESS_SHIFT.get(gold.hardness, 0.0)
@@ -313,7 +315,7 @@ class SimulatedLLM:
             text = self._fallback_sql(prompt)
             return self._result(prompt, text)
 
-        p = self.success_probability(prompt)
+        p = self.success_probability(prompt, gold)
         # Item-response design: every question has one latent difficulty
         # percentile (a deterministic draw keyed on the gold query alone),
         # and a generation succeeds when the model-and-prompt ability p

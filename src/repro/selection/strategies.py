@@ -29,6 +29,7 @@ from ..embed.tfidf import PostingScores, TfidfIndex
 from ..errors import PromptError
 from ..prompt.organization import ExampleBlock
 from ..sql.skeleton import SkeletonIndex
+from ..utils.arrays import ranges
 from ..utils.rng import rng_from
 
 #: Canonical selection ids in paper order.
@@ -143,12 +144,39 @@ class RandomSelection(SelectionStrategy):
         return order
 
 
-def _order(scores: np.ndarray, gate: Optional[np.ndarray] = None) -> np.ndarray:
-    """Positions sorted by (gate failed, -score, position), best first."""
-    keys = (np.arange(len(scores)), -scores)
+def _order(
+    scores: np.ndarray,
+    gate: Optional[np.ndarray] = None,
+    index: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Positions sorted by (gate failed, -score, index), best first; the
+    index defaults to the position."""
+    keys = (np.arange(len(scores)) if index is None else index, -scores)
     if gate is not None:
         keys += (~gate,)
     return np.lexsort(keys)
+
+
+class _ClassTable:
+    """The candidates of a pool grouped into classes of equal facts.
+
+    A ranking key that is a function of a few per-candidate facts (a
+    TF-IDF row, a skeleton column) is equal across every candidate of a
+    class, so it is computed once per class.  ``facts[j][c]`` is fact
+    ``j`` of class ``c``; the members of class ``c`` are
+    ``members[starts[c]:starts[c] + sizes[c]]``, in pool order.  Built
+    once with the strategy's indexes and only read afterwards.
+    """
+
+    __slots__ = ("facts", "members", "starts", "sizes")
+
+    def __init__(self, *facts: np.ndarray):
+        """Group by ``facts``: arrays holding one fact per candidate."""
+        table, class_of = np.unique(np.stack(facts), axis=1, return_inverse=True)
+        self.facts = tuple(table)
+        self.members = np.argsort(class_of, kind="stable")
+        self.sizes = np.bincount(class_of, minlength=table.shape[1])
+        self.starts = np.cumsum(self.sizes) - self.sizes
 
 
 def _top_k(
@@ -156,26 +184,43 @@ def _top_k(
     k: int,
     exact: Callable[[np.ndarray], np.ndarray],
     gate: Optional[np.ndarray] = None,
+    classes: Optional[_ClassTable] = None,
 ) -> List[int]:
-    """The first ``k`` of :func:`_order` over exact scores and ``gate``,
-    from ``keys`` that are within rounding of the exact scores (with
-    gate-failed keys dropped below every gated one).
+    """The first ``k`` candidates of :func:`_order` over exact scores and
+    ``gate``, from per-class ``keys`` that are within rounding of the
+    exact scores (with gate-failed keys dropped below every gated one).
+    Without ``classes`` each key is a class of one candidate, its index.
 
-    ``exact(near)`` returns the exact scores of the candidates ``near``.
-    Only the candidates whose key is within :data:`_RESCORE_TOLERANCE` of
-    the k-th best key are re-scored and sorted: any other candidate's
-    exact key is below those of the k candidates with the best keys, so
-    it cannot be among the first ``k``.
+    ``exact(near)`` returns the exact scores of the classes ``near``.
+    The k-th best key counts each class as many times as it has members.
+    Only the classes whose key is within :data:`_RESCORE_TOLERANCE` of it
+    are re-scored, and only their members are sorted: any other class's
+    exact key is below those of at least k candidates, so none of its
+    members can be among the first ``k``.  Members of a class are in
+    pool order, so no more than the first ``k`` of each are sorted.
     """
     if k <= 0:
         return []
-    if k < len(keys):
-        kth = np.partition(keys, len(keys) - k)[len(keys) - k]
+    if classes is None:
+        classes = _ClassTable(np.arange(len(keys)))
+    sizes = classes.sizes
+    if k < len(classes.members):
+        # The k best classes hold at least k candidates.
+        best = np.arange(len(keys))
+        if k < len(keys):
+            best = np.argpartition(keys, len(keys) - k)[len(keys) - k:]
+        best = best[np.argsort(-keys[best])]
+        kth = keys[best[np.searchsorted(np.cumsum(sizes[best]), k)]]
         near = np.flatnonzero(keys >= kth - _RESCORE_TOLERANCE)
     else:
         near = np.arange(len(keys))
-    order = _order(exact(near), None if gate is None else gate[near])
-    return near[order[:k]].tolist()
+    scores = exact(near)
+    counts = np.minimum(sizes[near], k)
+    members = classes.members[ranges(classes.starts[near], counts)]
+    owner = np.repeat(np.arange(len(near)), counts)
+    order = _order(scores[owner], None if gate is None else gate[near][owner],
+                   members)
+    return members[order[:k]].tolist()
 
 
 class _EmbeddingSelection(SelectionStrategy):
@@ -190,6 +235,8 @@ class _EmbeddingSelection(SelectionStrategy):
     def __init__(self, candidates: SpiderDataset, seed: int = 0):
         super().__init__(candidates, seed)
         self._index = TfidfIndex([self._candidate_text(e) for e in candidates])
+        #: One class per distinct candidate text; class ``r`` is row ``r``.
+        self._classes = _ClassTable(self._index.row_of)
 
     def _candidate_text(self, example: Example) -> str:
         if self.masked:
@@ -210,7 +257,7 @@ class _EmbeddingSelection(SelectionStrategy):
 
     def top_k(self, question, db_id, k, predicted_sql=None) -> List[int]:
         scores = self._posting_scores(question, db_id)
-        return _top_k(scores.values, k, scores.exact)
+        return _top_k(scores.values, k, scores.exact, classes=self._classes)
 
 
 class QuestionSimilaritySelection(_EmbeddingSelection):
@@ -290,11 +337,12 @@ class DailSelection(MaskedQuestionSimilaritySelection):
     ablation.
 
     :meth:`rank` orders the whole pool with exact scores.  :meth:`top_k`
-    gives its first ``k`` from row-major question scores (see
-    :class:`~repro.embed.tfidf.TfidfIndex`): gate-failed keys are dropped
-    below every gated one, the k-th best key is found with
-    ``np.partition``, and only the candidates within rounding of it are
-    re-scored exactly and sorted.
+    gives its first ``k`` scoring each class of candidates that share a
+    masked question and a skeleton once, from row-major question scores
+    (see :class:`~repro.embed.tfidf.TfidfIndex`): gate-failed keys are
+    dropped below every gated one, the k-th best key is found over the
+    classes weighted by size, and only the classes within rounding of it
+    are re-scored exactly and their members sorted.
     """
 
     id = "DAIL_S"
@@ -309,6 +357,8 @@ class DailSelection(MaskedQuestionSimilaritySelection):
         super().__init__(candidates, seed)
         self.skeleton_threshold = skeleton_threshold
         self._skeletons = SkeletonIndex([e.query for e in candidates])
+        #: One class per distinct (text row, skeleton column) pair.
+        self._pairs = _ClassTable(self._index.row_of, self._skeletons.column_of)
 
     def _fingerprint_extra(self) -> Sequence[object]:
         return (self._target_fingerprint, repr(self.skeleton_threshold))
@@ -327,15 +377,18 @@ class DailSelection(MaskedQuestionSimilaritySelection):
         if predicted_sql is None:
             return super().top_k(question, db_id, k)
         question_scores = self._posting_scores(question, db_id)
-        skeleton_scores = self._skeletons.similarities(predicted_sql)
+        rows, columns = self._pairs.facts
+        skeleton_scores = self._skeletons.column_similarities(predicted_sql)[columns]
         gate = skeleton_scores >= self.skeleton_threshold
-        keys = 0.5 * question_scores.values + 0.5 * skeleton_scores
+        keys = 0.5 * question_scores.values[rows] + 0.5 * skeleton_scores
         keys[~gate] -= _GATE_DROP
-        return _top_k(
-            keys, k,
-            lambda near: 0.5 * question_scores.exact(near) + 0.5 * skeleton_scores[near],
-            gate,
-        )
+
+        def exact(near: np.ndarray) -> np.ndarray:
+            texts, text_of = np.unique(rows[near], return_inverse=True)
+            return (0.5 * question_scores.exact(texts)[text_of]
+                    + 0.5 * skeleton_scores[near])
+
+        return _top_k(keys, k, exact, gate, self._pairs)
 
 
 _REGISTRY = {

@@ -212,27 +212,41 @@ class SkeletonIndex:
     """:func:`skeleton_similarity` of one query against a fixed candidate
     pool, in a few array operations.
 
-    Each of the two feature kinds (signature, skeleton bigrams) is a 0/1
-    incidence matrix, feature × candidate, over the features the pool
-    contains.  A target's Jaccard against every candidate comes from exact
-    integer intersection and union counts, so :meth:`similarities` equals
-    the scalar definition bit for bit.  Read-only once built.
+    :func:`skeleton_similarity` depends only on a query's two feature
+    sets (signature, skeleton bigrams), so the index keeps one *column*
+    per distinct pair of them; ``column_of[i]`` is candidate ``i``'s
+    column, and columns are numbered in order of first appearance.  Each
+    feature kind is a 0/1 incidence matrix, feature × column, over the
+    features the pool contains.  A target's Jaccard against every column
+    comes from exact integer intersection and union counts, so
+    :meth:`similarities` equals the scalar definition bit for bit.
+    Read-only once built.
     """
 
     def __init__(self, candidates: Sequence[Union[str, Query]]):
-        features = [_features(sql) for sql in candidates]
-        self._signatures = _Incidence([sig for sig, _ in features])
-        self._bigrams = _Incidence([bigrams for _, bigrams in features])
+        columns: Dict[Tuple[FrozenSet[str], FrozenSet[str]], int] = {}
+        self.column_of = np.fromiter(
+            (columns.setdefault(_features(sql), len(columns)) for sql in candidates),
+            np.intp, len(candidates),
+        )
+        self._signatures = _Incidence([sig for sig, _ in columns])
+        self._bigrams = _Incidence([bigrams for _, bigrams in columns])
 
     def similarities(self, query: Union[str, Query]) -> np.ndarray:
         """``skeleton_similarity(query, c)`` for every candidate ``c``."""
+        return self.column_similarities(query)[self.column_of]
+
+    def column_similarities(self, query: Union[str, Query]) -> np.ndarray:
+        """``skeleton_similarity(query, c)`` for one candidate ``c`` of
+        each column, in column order."""
         sig, bigrams = _features(query)
         return (0.6 * self._signatures.jaccard(sig)
                 + 0.4 * self._bigrams.jaccard(bigrams))
 
 
 class _Incidence:
-    """Feature sets of a pool as a dense 0/1 matrix, one row per feature."""
+    """Feature sets as a dense 0/1 matrix, one row per feature and one
+    column per set."""
 
     def __init__(self, sets: Sequence[FrozenSet[str]]):
         self._ids: Dict[str, int] = {

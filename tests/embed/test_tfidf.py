@@ -122,9 +122,10 @@ def _fit_two_passes(texts):
 
 
 class TestOnePassFit:
-    """``fit_transform`` and :class:`TfidfIndex` count each text's
-    features once; the vocabulary, IDF weights and vectors are exactly
-    those of a feature pass to fit and another to embed."""
+    """``fit_transform`` and :class:`TfidfIndex` count each distinct
+    text's features once; the vocabulary, IDF weights and vectors are
+    exactly those of a feature pass to fit and another to embed, over
+    every text, copies included."""
 
     @given(st.lists(st.text(alphabet="ab c?'", max_size=12), max_size=8))
     @settings(deadline=None, max_examples=150)
@@ -141,10 +142,15 @@ class TestOnePassFit:
         assert [embedder.transform(text) for text in texts] == expected
 
     def test_index_holds_the_two_pass_vectors(self):
-        texts = CORPUS + ["", "How many singers singers are there there?"]
+        texts = CORPUS + ["", "How many singers singers are there there?",
+                          CORPUS[0], ""]
         _, expected = _fit_two_passes(texts)
         index = TfidfIndex(texts)
-        for row, vector in enumerate(expected):
+        # One row per distinct text, numbered in order of first appearance.
+        assert index.n_rows == len(set(texts)) == len(texts) - 2
+        assert index.row_of.tolist()[-2:] == [0, len(CORPUS)]
+        for text, vector in enumerate(expected):
+            row = index.row_of[text]
             start = index._row_starts[row]
             where = slice(start, start + index._lengths[row])
             assert index._features[where].tolist() == list(vector)
@@ -210,8 +216,9 @@ class TestIndexScores:
         query = embedder.transform(target)
         want = [cosine(query, vector) for vector in vectors]
         scores = index.posting_scores(target)
-        assert all(abs(v - w) <= 1e-12 for v, w in zip(scores.values.tolist(), want))
+        values = scores.values[index.row_of].tolist()
+        assert all(abs(v - w) <= 1e-12 for v, w in zip(values, want))
         assert index.scores(target).tolist() == want
         picked = [rng.randrange(len(texts)) for _ in range(len(texts))]
-        assert scores.exact(np.array(picked, np.intp)).tolist() == \
+        assert scores.exact(index.row_of[picked]).tolist() == \
             [want[i] for i in picked]

@@ -252,15 +252,26 @@ class TestOutcomeMemo:
         scored = []
         original = plan.llm.success_probability
 
-        def recording(p):
-            scored.append(original(p))
+        def recording(p, gold=None):
+            scored.append(original(p, gold))
             return scored[-1]
 
+        lookups = []
+        lookup = plan.llm.oracle.lookup
+
+        def counting_lookup(db_id, question):
+            lookups.append(question)
+            return lookup(db_id, question)
+
         monkeypatch.setattr(plan.llm, "success_probability", recording)
+        monkeypatch.setattr(plan.llm.oracle, "lookup", counting_lookup)
         links = counting_link(monkeypatch)
         search(runner.pipeline, plan.llm, prompt, example.db_id,
                n_samples=5, execute=False)
         assert len(scored) == 5
+        # One oracle lookup per model call: generate passes the gold
+        # example on to success_probability.
+        assert lookups == [example.question] * 5
         assert links == [example.question]
         monkeypatch.undo()
         fresh = make_llm("gpt-3.5-turbo", plan.llm.oracle)
